@@ -498,11 +498,12 @@ pub fn explore_stats<P: Protocol>(
 /// process-symmetry reduction on top of [`explore`]'s engine.
 ///
 /// Outcomes are **identical at any worker count**, including counterexample
-/// schedules: workers only expand configurations speculatively (read-only
-/// digest previews plus claimed successor materialisation), and a
-/// sequential committer consumes their results in admission order before
-/// any stateful decision is made. See [`crate::packed_engine`] for the
-/// work-stealing architecture and the determinism argument.
+/// schedules: workers only preview configurations (solo probes and
+/// read-only successor digests), and a sequential committer consumes their
+/// results in admission order, materialising every admitted successor
+/// itself, before any stateful decision is made. See
+/// [`crate::packed_engine`] for the work-stealing architecture and the
+/// determinism argument.
 ///
 /// # Examples
 ///

@@ -1,23 +1,21 @@
-//! Lock-free claim table: the explorer's shared fingerprint set.
+//! Lock-free claim table: the parallel explorer's committed seen set.
 //!
-//! The parallel packed engine has two consumers of one "have we seen this
-//! configuration?" question, with different consistency needs:
-//!
-//! - **workers** make *advisory* claims while speculatively expanding — a
-//!   lost or duplicated claim costs only wasted work, never correctness,
-//!   because the committer re-checks every edge in admission order;
-//! - the **committer** needs an *authoritative* admitted set: exactly one
-//!   admission per fingerprint, in the deterministic order it processes
-//!   results.
-//!
-//! The previous implementation (`ClaimSet`, a striped
-//! `Vec<RwLock<HashSet<u128>>>`) served only the workers and serialised them
-//! on its read-then-upgrade path whenever the frontier was narrow; the
-//! committer kept a second, private `HashSet`. [`ClaimTable`] replaces both:
+//! On unbudgeted parallel runs the packed engine's committer needs an
+//! *authoritative* admitted set: exactly one admission per fingerprint, in
+//! the deterministic order it processes results. [`ClaimTable`] serves it:
 //! a fixed-capacity open-addressing table of `AtomicU64` pairs (the two
-//! halves of each 128-bit fingerprint) that workers claim into with one CAS
-//! and the committer admits into via a separate committed bitmap — no locks
-//! on any hot path.
+//! halves of each 128-bit fingerprint) plus a committed bitmap that
+//! [`ClaimTable::admit`] sets. The engine's workers are pure edge previews
+//! and never touch the table, so it has a **single writer**. It is kept
+//! over the hashed [`crate::fpset::SeenBackend`] set even so: a probe is a
+//! masked slot index taken straight from the fingerprint's bits and a
+//! couple of loads, with no rehashing. Budgeted runs admit into the tiered
+//! [`crate::fpset::FpSet`] instead.
+//!
+//! The table stays safe for concurrent writers. [`ClaimTable::claim`], an
+//! insert that does not admit, is kept for the benchmark's `claim.*` layer
+//! metrics and the property tests that race it against `admit`; the
+//! arguments below are what make those races exactly-once.
 //!
 //! # Layout and probe scheme
 //!
@@ -94,12 +92,6 @@ pub struct ClaimTable {
     committed: Vec<AtomicU64>,
     /// Fingerprint → admitted? for everything the table proper cannot hold.
     overflow: Mutex<HashMap<u128, bool>>,
-    /// Advisory-only mode (budgeted parallel runs): overflow insertions are
-    /// *dropped* instead of growing the unbounded map — `claim` answers
-    /// `false`, the worker skips materialising that child, and the
-    /// committer derives it from the parent. Claims stay bounded by the
-    /// table allocation at the cost of some duplicated expansion work.
-    lossy: bool,
 }
 
 impl ClaimTable {
@@ -113,32 +105,11 @@ impl ClaimTable {
             .saturating_mul(2)
             .clamp(16, MAX_SLOTS)
             .next_power_of_two();
-        Self::with_slots(slots, false)
-    }
-
-    /// A **lossy advisory** table fitting in about `bytes` of RAM, for
-    /// memory-budgeted parallel runs: sized down instead of from
-    /// `max_configs`, and overflow claims are dropped (see
-    /// [`ClaimTable::claim`]) rather than accumulated. Must not be used as
-    /// an authoritative admission set — the budgeted committer keeps its own
-    /// [`crate::fpset::FpSet`].
-    pub fn advisory(bytes: usize) -> Self {
-        // A slot costs 16 bytes of words plus 1/8 byte of bitmap ≈ 17; round
-        // to the largest power of two that fits.
-        let mut slots = (bytes / 17).max(16).next_power_of_two();
-        if slots > 16 && slots * 17 > bytes {
-            slots /= 2;
-        }
-        Self::with_slots(slots.min(MAX_SLOTS), true)
-    }
-
-    fn with_slots(slots: usize, lossy: bool) -> Self {
         ClaimTable {
             words: (0..slots * 2).map(|_| AtomicU64::new(0)).collect(),
             mask: slots - 1,
             committed: (0..slots.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             overflow: Mutex::new(HashMap::new()),
-            lossy,
         }
     }
 
@@ -203,16 +174,12 @@ impl ClaimTable {
         Probe::Overflow
     }
 
-    /// Worker-side advisory claim: `true` iff this call is the first to
-    /// claim `fp`. Thread-safe; lock-free off the overflow path.
+    /// Inserts `fp` without admitting it: `true` iff this call is the first
+    /// to claim `fp`. Thread-safe; lock-free off the overflow path.
     pub fn claim(&self, fp: u128) -> bool {
         match self.insert_fp(fp) {
             Probe::ClaimedNew(_) => true,
             Probe::Present(_) => false,
-            // Lossy (advisory, budgeted) tables drop overflow claims: a
-            // false "already claimed" only means the child arrives at the
-            // committer unmaterialised, and the committer derives it.
-            Probe::Overflow if self.lossy => false,
             Probe::Overflow => match self.overflow.lock().unwrap().entry(fp) {
                 Entry::Vacant(e) => {
                     e.insert(false);
@@ -224,15 +191,11 @@ impl ClaimTable {
     }
 
     /// Committer-side admission: `true` iff `fp` has not been admitted
-    /// before. Claims by workers do **not** count as admissions — the
-    /// committed bitmap keeps the two states distinct — so the result is
-    /// exactly `HashSet::insert` on the committer's sequence of calls,
-    /// regardless of what workers claimed concurrently.
+    /// before. Claims do **not** count as admissions — the committed bitmap
+    /// keeps the two states distinct — so the result is exactly
+    /// `HashSet::insert` on the admitting thread's sequence of calls,
+    /// regardless of what was claimed concurrently.
     pub fn admit(&self, fp: u128) -> bool {
-        debug_assert!(
-            !self.lossy,
-            "advisory tables must not serve as the authoritative seen set"
-        );
         match self.insert_fp(fp) {
             Probe::ClaimedNew(slot) | Probe::Present(slot) => {
                 let bit = 1u64 << (slot % 64);
@@ -250,9 +213,8 @@ impl ClaimTable {
     /// Every fingerprint the committer admitted, in unspecified order
     /// (checkpoint hook). Slots are committed via the bitmap; zero-half
     /// fingerprints only ever live in the overflow map, so the two scans
-    /// together are exhaustive. Worker claims without an admission are
-    /// deliberately excluded — a snapshot records the committer's state,
-    /// and speculative claims are re-derived on resume.
+    /// together are exhaustive. Claims without an admission are excluded —
+    /// a snapshot records the committer's state.
     pub fn committed_fps(&self) -> Vec<u128> {
         let mut fps = Vec::new();
         for slot in 0..=self.mask {

@@ -290,7 +290,7 @@ fn expand_chunk<P: Process>(
         cands: Vec::new(),
     };
     for node in chunk {
-        match expand_node(ctx, node, run, None, cache) {
+        match expand_node(ctx, node, run, cache) {
             Err(err) => out.events.push(RoundEvent::Failed {
                 idx: node.index as u64,
                 err,
@@ -304,8 +304,7 @@ fn expand_chunk<P: Process>(
                     });
                     continue;
                 }
-                for Edge { pid, fp, child } in exp.edges {
-                    debug_assert!(child.is_none(), "no claim table was handed in");
+                for Edge { pid, fp } in exp.edges {
                     let dest = shard_of(fp, cfg.shards);
                     // Ship mode: every candidate crosses with its state.
                     // Replay mode: only candidates we will own ourselves

@@ -368,31 +368,39 @@ impl SpillArena {
             // the per-pid directory keeps their arenas from colliding while
             // giving crash cleanup a single obvious unit to sweep.
             let dir = spill_dir().join(format!("cbh-spill-{}", std::process::id()));
-            // `create_dir`, not `create_dir_all`: an unusable or missing
-            // spill *base* directory must stay a typed `Create` error, not
-            // be silently conjured into existence.
-            if let Err(e) = std::fs::create_dir(&dir) {
-                if e.kind() != std::io::ErrorKind::AlreadyExists {
-                    return Err(SpillError::Create {
-                        path: dir.display().to_string(),
-                        kind: e.kind(),
-                    });
-                }
-            }
             let path = dir.join(format!(
                 "cbh-spill-{}-{}.bin",
                 std::process::id(),
                 ARENA_SEQ.fetch_add(1, Ordering::Relaxed)
             ));
-            let file = OpenOptions::new()
-                .create_new(true)
-                .read(true)
-                .write(true)
-                .open(&path)
-                .map_err(|e| SpillError::Create {
-                    path: path.display().to_string(),
-                    kind: e.kind(),
-                })?;
+            // A sibling arena's drop removes the directory once it empties,
+            // which can land between our `create_dir` and `open`; the open
+            // then fails with `NotFound` and the pair is retried.
+            let mut attempts = 0;
+            let file = loop {
+                // `create_dir`, not `create_dir_all`: an unusable or missing
+                // spill *base* directory must stay a typed `Create` error,
+                // not be silently conjured into existence.
+                if let Err(e) = std::fs::create_dir(&dir) {
+                    if e.kind() != std::io::ErrorKind::AlreadyExists {
+                        return Err(SpillError::Create {
+                            path: dir.display().to_string(),
+                            kind: e.kind(),
+                        });
+                    }
+                }
+                let opened = OpenOptions::new().create_new(true).read(true).write(true).open(&path);
+                attempts += 1;
+                match opened {
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound && attempts < 8 => {}
+                    opened => {
+                        break opened.map_err(|e| SpillError::Create {
+                            path: path.display().to_string(),
+                            kind: e.kind(),
+                        })?
+                    }
+                }
+            };
             st.file = Some(Arc::new(file));
             st.path = Some(path);
             let shared = Arc::clone(&self.shared);

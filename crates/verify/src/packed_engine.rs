@@ -2,27 +2,33 @@
 //!
 //! # Architecture
 //!
-//! The engine splits exploration into a **speculative parallel phase** and a
+//! The engine splits exploration into a **parallel preview phase** and a
 //! **deterministic sequential commit**:
 //!
-//! - **Workers** own per-worker deques of expansion tasks and steal from
-//!   each other when idle. A task is one admitted configuration (a flat
-//!   [`PackedState`]); the worker walks its outgoing edges with the
-//!   *read-only* [`PackedCtx::edge_digest`] preview (no mutation, no undo)
-//!   through a thread-local [`PackedCache`] over the shared intern tables,
-//!   runs the optional solo probes, and — when an edge's successor digest
-//!   wins its claim in the lock-free [`ClaimTable`] — speculatively
-//!   materialises the successor (a flat clone plus one in-place step) so
-//!   the committer usually receives admitted children ready-made.
-//! - The **committer** (the calling thread) consumes one result per node
-//!   *in admission-index order* and replays, verbatim, the sequential
-//!   algorithm of the clone-based reference BFS: authoritative admission
-//!   (the claim table's committed bitmap — see [`crate::claim`]),
-//!   `max_configs` accounting, violation selection, parent-link
-//!   construction, layer bookkeeping. Every order-sensitive decision is made
-//!   here, single-threaded, on a totally ordered stream. While a result it
-//!   needs is still being computed, the committer *helps*: it pops and
-//!   expands backlogged batches itself instead of sleeping.
+//! - **Workers** are pure previews. They own per-worker deques of node
+//!   batches and steal from each other when idle. A node is one admitted
+//!   configuration (a flat [`PackedState`]); the worker runs its optional
+//!   solo probes and walks its outgoing edges with the *read-only*
+//!   [`PackedCtx::edge_digest`] preview, through a thread-local memoised
+//!   [`PackedCache`] over the shared intern tables. It returns the solo
+//!   verdict, `has_active` and one `(pid, fp)` [`Edge`] per active pid —
+//!   never a successor state — and publishes the whole batch as **one**
+//!   reorder-buffer record keyed by the batch's first admission index.
+//! - The **committer** (the calling thread) takes those records in
+//!   admission order, drains each locally, and replays, verbatim, the
+//!   sequential algorithm of the clone-based reference BFS: authoritative
+//!   admission (see [`crate::claim`]), `max_configs` accounting, violation
+//!   selection, parent-link construction, layer bookkeeping. It
+//!   materialises every admitted child itself, with one memoised
+//!   `branch_step_cached` from the parent. Every order-sensitive decision is
+//!   made here, single-threaded, on a totally ordered stream. While a record
+//!   it needs is still being computed, the committer *helps*: it pops and
+//!   expands a backlogged batch itself instead of sleeping.
+//!
+//! Workers therefore touch no shared state except the deques, the reorder
+//! buffer and the append-only intern tables: no claims, no speculative
+//! children, and one lock, one buffer insert and one tracker update per
+//! batch rather than per node.
 //!
 //! # Determinism argument
 //!
@@ -30,32 +36,30 @@
 //! children are admitted only while committing that node — so index order
 //! equals the reference BFS's admission order (layer by layer, frontier
 //! order within a layer, pid order within a node) *by construction*,
-//! independent of how worker threads raced. Workers influence only *when* a
-//! result becomes available, never *what* the committer does with it;
-//! speculative work past the committer's stopping point (a violation, the
-//! config cap) is simply discarded. Hence `(ExploreOutcome, ExploreStats)`
-//! — verdict, counterexample schedule, configuration count, frontier peak,
-//! depth — are bit-identical at any worker count, and bit-identical to
-//! [`crate::reference::reference_explore`]. The conformance oracle enforces
-//! exactly this.
+//! independent of how worker threads raced. A worker's output is a pure
+//! function of the node it previews, so workers influence only *when* a
+//! record becomes available, never *what* the committer does with it. A
+//! stop mid-batch (a violation, the config cap, a solo failure) discards the
+//! rest of the batch and any records past it. Hence `(ExploreOutcome,
+//! ExploreStats)` — verdict, counterexample schedule, configuration count,
+//! frontier peak, depth — are bit-identical at any worker count, and
+//! bit-identical to [`crate::reference::reference_explore`]. The
+//! conformance oracle enforces exactly this.
 //!
-//! Worker-side claims are advisory: a duplicate claim merely means a child
-//! arrives unmaterialised and the committer derives it from the parent with
-//! one packed step. Admissions, by contrast, are authoritative, and only the
-//! committer performs them — the claim table keeps the two states separate,
-//! so worker races can never affect what gets admitted. Intern-table ids
-//! race between threads, but digests hash *content*, never ids, so outcomes
-//! cannot observe interning order; the per-thread intern caches only
-//! memoise those immutable entries and are equally unobservable.
+//! The only shared writes workers make are intern-table insertions, and
+//! their ids race between threads; but digests hash *content*, never ids,
+//! so outcomes cannot observe interning order, and the per-thread caches
+//! only memoise those immutable entries and are equally unobservable.
 //!
 //! # Memory-bounded frontiers
 //!
 //! All three queues that scale with frontier width — the sequential
 //! engine's admission queue, the pool's per-worker deques, and the
-//! committer's reorder buffer — live in [`crate::frontier`] stores: within
-//! [`ExploreLimits::memory_budget`] they are the plain in-memory structures
-//! described above; past it, backlogs delta-compress
-//! ([`cbh_model::packed::delta`]) into a temp-file arena and stream back.
+//! committer's reorder buffer of batch records — live in [`crate::frontier`]
+//! stores: within [`ExploreLimits::memory_budget`] they are the plain
+//! in-memory structures described above; past it, backlogs delta-compress
+//! ([`cbh_model::packed::delta`]) into a temp-file arena and stream back. A
+//! batch record parks whole, and only if every result in it is `Ok`.
 //! Spilling only moves *where* a node waits, never the order the committer
 //! consumes results in, so the determinism argument — and bit-identical
 //! `(ExploreOutcome, ExploreStats)` — holds at any budget; the budgeted
@@ -133,7 +137,7 @@ pub(crate) fn cache_cap_of(memory_budget: Option<usize>) -> Option<usize> {
 }
 
 /// One admitted configuration awaiting expansion.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Node {
     pub(crate) index: usize,
     pub(crate) state: PackedState,
@@ -156,17 +160,16 @@ type Batch = Vec<Node>;
 const MIN_BATCH: usize = 1;
 const MAX_BATCH: usize = 64;
 
-/// One outgoing edge of an expanded node, in pid order.
+/// One outgoing edge of an expanded node, in pid order: the previewed
+/// successor digest only. The committer materialises the children it admits.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Edge {
     pub(crate) pid: usize,
     pub(crate) fp: u128,
-    /// Speculatively materialised successor, present iff this worker won the
-    /// claim on `fp`. `None` is always safe: the committer rematerialises
-    /// from the parent on demand.
-    pub(crate) child: Option<PackedState>,
 }
 
 /// What expanding one node produced.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Expansion {
     /// First active pid whose solo run failed to decide, if solo checks ran.
     pub(crate) solo_failure: Option<usize>,
@@ -175,12 +178,17 @@ pub(crate) struct Expansion {
     pub(crate) edges: Vec<Edge>,
 }
 
+/// An expanded node: the node itself travels back so the committer can
+/// materialise admitted children from its state.
+#[derive(Debug, PartialEq)]
 struct NodeResult {
-    /// The node's state, returned so the committer can derive unclaimed
-    /// children from it.
-    state: PackedState,
+    node: Node,
     out: Result<Expansion, SimError>,
 }
+
+/// An expanded batch, in dispatch order: the pool's unit of hand-off to the
+/// committer, keyed in the reorder buffer by its first node's index.
+type ResultBatch = Vec<NodeResult>;
 
 // ---------------------------------------------------------------------------
 // Spill codecs: how the engine's queues cross the memory/disk boundary
@@ -322,123 +330,93 @@ impl SpillCodec for BatchCodec {
     }
 }
 
-/// Codec for the committer's reorder buffer. Records are parked
-/// individually (no run chaining): the parent state is flat-encoded and
-/// each speculatively materialised child is a delta against it — one step
-/// away, so a few bytes each. Error results are never spilled (the
-/// committer consumes and propagates them immediately).
+/// Codec for the committer's reorder buffer. A record is one expanded
+/// batch, parked whole (no run chaining): each node record is framed like
+/// [`BatchCodec`]'s, its state a delta against its batch predecessor's, and
+/// its expansion follows it. Batches holding an error result are never
+/// parked (the committer consumes and propagates errors immediately).
 struct ResultCodec;
 
 impl SpillCodec for ResultCodec {
-    type Item = NodeResult;
+    type Item = ResultBatch;
 
-    fn encode(&self, result: &NodeResult, _prev: Option<&NodeResult>, out: &mut Vec<u8>) {
-        let expansion = result
-            .out
-            .as_ref()
-            .expect("error results are unspillable");
-        let mut state_bytes = Vec::new();
-        encode_flat(&result.state, &mut state_bytes);
-        write_varint(out, state_bytes.len() as u64);
-        out.extend_from_slice(&state_bytes);
-        out.push(u8::from(expansion.has_active));
-        match expansion.solo_failure {
-            None => out.push(0),
-            Some(pid) => {
-                out.push(1);
-                write_varint(out, pid as u64);
-            }
-        }
-        write_varint(out, expansion.edges.len() as u64);
-        let mut child_bytes = Vec::new();
-        for edge in &expansion.edges {
-            write_varint(out, edge.pid as u64);
-            out.extend_from_slice(&edge.fp.to_le_bytes());
-            match &edge.child {
-                None => out.push(0),
-                Some(child) => {
-                    out.push(1);
-                    child_bytes.clear();
-                    encode_delta(&result.state, child, &mut child_bytes);
-                    write_varint(out, child_bytes.len() as u64);
-                    out.extend_from_slice(&child_bytes);
-                }
+    fn encode(&self, batch: &ResultBatch, _prev: Option<&ResultBatch>, out: &mut Vec<u8>) {
+        write_varint(out, batch.len() as u64);
+        let mut base = None;
+        let mut record = Vec::new();
+        for result in batch {
+            let expansion = result.out.as_ref().expect("error batches are unspillable");
+            record.clear();
+            encode_node(&result.node, base, &mut record);
+            write_varint(out, record.len() as u64);
+            out.extend_from_slice(&record);
+            base = Some(&result.node.state);
+            out.push(u8::from(expansion.has_active));
+            write_varint(out, expansion.solo_failure.map_or(0, |pid| pid as u64 + 1));
+            write_varint(out, expansion.edges.len() as u64);
+            for edge in &expansion.edges {
+                write_varint(out, edge.pid as u64);
+                out.extend_from_slice(&edge.fp.to_le_bytes());
             }
         }
     }
 
-    fn decode(&self, mut bytes: &[u8], _prev: Option<&NodeResult>) -> NodeResult {
-        let state_len = read_varint(&mut bytes).expect("result record: framing") as usize;
-        let state = decode_flat(&bytes[..state_len]).expect("result record: state");
-        bytes = &bytes[state_len..];
-        let has_active = bytes[0] != 0;
-        let solo_failure = match bytes[1] {
-            0 => {
-                bytes = &bytes[2..];
-                None
-            }
-            _ => {
-                bytes = &bytes[2..];
-                Some(read_varint(&mut bytes).expect("result record: solo pid") as usize)
-            }
-        };
-        let edge_count = read_varint(&mut bytes).expect("result record: edges") as usize;
-        let mut edges = Vec::with_capacity(edge_count);
-        for _ in 0..edge_count {
-            let pid = read_varint(&mut bytes).expect("result record: pid") as usize;
-            let (fp_bytes, rest) = bytes.split_at(16);
-            let fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
-            let child = match rest[0] {
-                0 => {
-                    bytes = &rest[1..];
-                    None
-                }
-                _ => {
-                    bytes = &rest[1..];
-                    let len = read_varint(&mut bytes).expect("result record: child len") as usize;
-                    let child = apply_delta(&state, &bytes[..len]).expect("result record: child");
-                    bytes = &bytes[len..];
-                    Some(child)
-                }
+    fn decode(&self, mut bytes: &[u8], _prev: Option<&ResultBatch>) -> ResultBatch {
+        let count = read_varint(&mut bytes).expect("result record: count") as usize;
+        let mut batch: ResultBatch = Vec::with_capacity(count);
+        for _ in 0..count {
+            let len = read_varint(&mut bytes).expect("result record: framing") as usize;
+            let node = decode_node(&bytes[..len], batch.last().map(|r| &r.node.state));
+            let has_active = bytes[len] != 0;
+            bytes = &bytes[len + 1..];
+            let solo_failure = match read_varint(&mut bytes).expect("result record: solo pid") {
+                0 => None,
+                pid => Some(pid as usize - 1),
             };
-            edges.push(Edge { pid, fp, child });
-        }
-        NodeResult {
-            state,
-            out: Ok(Expansion {
+            let edge_count = read_varint(&mut bytes).expect("result record: edges") as usize;
+            let mut edges = Vec::with_capacity(edge_count);
+            for _ in 0..edge_count {
+                let pid = read_varint(&mut bytes).expect("result record: pid") as usize;
+                let (fp_bytes, rest) = bytes.split_at(16);
+                let fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
+                bytes = rest;
+                edges.push(Edge { pid, fp });
+            }
+            let out = Ok(Expansion {
                 solo_failure,
                 has_active,
                 edges,
-            }),
+            });
+            batch.push(NodeResult { node, out });
         }
+        batch
     }
 
-    fn cost(&self, result: &NodeResult) -> usize {
-        let children: usize = match &result.out {
-            Ok(expansion) => expansion
-                .edges
-                .iter()
-                .filter_map(|e| e.child.as_ref())
-                .map(|c| c.resident_bytes() + std::mem::size_of::<Edge>())
-                .sum(),
-            Err(_) => 0,
-        };
-        std::mem::size_of::<NodeResult>() + result.state.resident_bytes() + children
+    fn cost(&self, batch: &ResultBatch) -> usize {
+        batch
+            .iter()
+            .map(|r| {
+                let edges = r.out.as_ref().map_or(0, |e| e.edges.len());
+                std::mem::size_of::<NodeResult>()
+                    + r.node.state.resident_bytes()
+                    + edges * std::mem::size_of::<Edge>()
+            })
+            .sum()
     }
 
-    fn spillable(&self, result: &NodeResult) -> bool {
-        result.out.is_ok()
+    fn spillable(&self, batch: &ResultBatch) -> bool {
+        batch.iter().all(|r| r.out.is_ok())
     }
 }
 
 /// Expands one node: solo probes first (mirroring the reference: a failure
-/// suppresses the edges), then one previewed edge per active pid. All
-/// intern-table traffic goes through the expander's thread-local `cache`.
+/// suppresses the edges), then one previewed edge per active pid. Read-only
+/// on the node; all intern-table traffic goes through the expander's
+/// thread-local `cache`.
 pub(crate) fn expand_node<P: Process>(
     ctx: &PackedCtx<P>,
     node: &Node,
     cfg: RunCfg,
-    claims: Option<&ClaimTable>,
     cache: &mut PackedCache<P>,
 ) -> Result<Expansion, SimError> {
     let state = &node.state;
@@ -468,13 +446,7 @@ pub(crate) fn expand_node<P: Process>(
                     step: state.steps(),
                     source,
                 })?;
-            let child = match claims {
-                Some(claims) if claims.claim(fp) => {
-                    Some(ctx.branch_step_cached(cache, state, pid).expect("previewed edge steps"))
-                }
-                _ => None,
-            };
-            edges.push(Edge { pid, fp, child });
+            edges.push(Edge { pid, fp });
         }
     }
     Ok(Expansion {
@@ -482,6 +454,27 @@ pub(crate) fn expand_node<P: Process>(
         has_active,
         edges,
     })
+}
+
+/// Expands a pool batch on the calling thread, one result per node in
+/// dispatch order.
+fn expand_batch<P: Process>(
+    ctx: &PackedCtx<P>,
+    cfg: RunCfg,
+    cache: &mut PackedCache<P>,
+    batch: Batch,
+) -> ResultBatch {
+    let results = batch
+        .into_iter()
+        .map(|node| {
+            let out = expand_node(ctx, &node, cfg, cache);
+            NodeResult { node, out }
+        })
+        .collect();
+    if let Some(cap) = cfg.cache_cap {
+        cache.evict_if_over(cap);
+    }
+    results
 }
 
 // ---------------------------------------------------------------------------
@@ -500,11 +493,10 @@ trait ResultSource<P: Process> {
 }
 
 /// In-process source: tasks run inline, in dispatch order, on the calling
-/// thread. No claims — the committer materialises every admitted child. The
-/// admission queue is a budgeted [`FrontierStore`]: within the memory budget
-/// it is the plain deque this engine always used, past it the backlog spills
-/// to the run's arena and streams back in the same order, so `take` still
-/// sees exactly the dispatch sequence.
+/// thread. The admission queue is a budgeted [`FrontierStore`]: within the
+/// memory budget it is the plain deque this engine always used, past it the
+/// backlog spills to the run's arena and streams back in the same order, so
+/// `take` still sees exactly the dispatch sequence.
 struct SeqSource<'c, P: Process> {
     ctx: &'c PackedCtx<P>,
     cfg: RunCfg,
@@ -521,14 +513,11 @@ impl<P: Process> ResultSource<P> for SeqSource<'_, P> {
     fn take(&mut self, index: usize) -> Result<NodeResult, SimError> {
         let node = self.queue.pop()?.expect("take follows dispatch");
         debug_assert_eq!(node.index, index);
-        let out = expand_node(self.ctx, &node, self.cfg, None, &mut self.cache);
+        let out = expand_node(self.ctx, &node, self.cfg, &mut self.cache);
         if let Some(cap) = self.cfg.cache_cap {
             self.cache.evict_if_over(cap);
         }
-        Ok(NodeResult {
-            state: node.state,
-            out,
-        })
+        Ok(NodeResult { node, out })
     }
 }
 
@@ -541,18 +530,14 @@ struct Pool {
     /// budgeted [`FrontierStore`], so backlogged batches spill rather than
     /// accumulate.
     deques: Vec<Mutex<FrontierStore<BatchCodec>>>,
-    /// Completed expansions, keyed by admission index; large-index results
-    /// park in the spill arena past the budget.
+    /// Expanded batches, keyed by their first admission index; large-index
+    /// batches park in the spill arena past the budget.
     results: Mutex<ReorderBuffer<ResultCodec>>,
     results_ready: Condvar,
     /// Parking lot for idle workers.
     idle: Mutex<()>,
     work_ready: Condvar,
     stop: AtomicBool,
-    /// Shared fingerprint table: workers claim into it to dedupe speculative
-    /// child materialisation; on unbudgeted runs the committer also admits
-    /// into its committed bitmap. Lock-free on both hot paths.
-    claims: ClaimTable,
     /// First spill-IO failure observed by any pool thread. A worker that
     /// hits one records it here and stops the pool; the committer turns it
     /// into a clean [`SimError::Spill`] instead of the abnormal-termination
@@ -597,7 +582,7 @@ impl Pool {
         let mut cache = PackedCache::new();
         loop {
             if self.stop.load(Ordering::Acquire) {
-                return; // abandon speculative leftovers: the run is decided
+                return; // abandon queued leftovers: the run is decided
             }
             let popped = match self.pop_batch(home) {
                 Ok(popped) => popped,
@@ -609,35 +594,11 @@ impl Pool {
                 }
             };
             if let Some(batch) = popped {
-                // Expand the whole batch before taking the results lock
-                // once: one insertion burst, one committer wakeup.
-                let outs: Vec<(usize, NodeResult)> = batch
-                    .into_iter()
-                    .map(|node| {
-                        let out = expand_node(ctx, &node, cfg, Some(&self.claims), &mut cache);
-                        (
-                            node.index,
-                            NodeResult {
-                                state: node.state,
-                                out,
-                            },
-                        )
-                    })
-                    .collect();
-                if let Some(cap) = cfg.cache_cap {
-                    cache.evict_if_over(cap);
-                }
-                let mut failed = None;
-                {
-                    let mut results = self.results.lock().unwrap();
-                    for (index, result) in outs {
-                        if let Err(err) = results.insert(index, result) {
-                            failed = Some(err);
-                            break;
-                        }
-                    }
-                }
-                if let Some(err) = failed {
+                // The whole batch is one record: one lock, one buffer
+                // insert, one committer wakeup.
+                let first = batch[0].index;
+                let results = expand_batch(ctx, cfg, &mut cache, batch);
+                if let Err(err) = self.results.lock().unwrap().insert(first, results) {
                     self.record_io_error(err);
                     return;
                 }
@@ -706,6 +667,9 @@ struct PoolSource<'p, P: Process> {
     /// Nodes dispatched but not yet taken — the live frontier width the
     /// batch size adapts to.
     outstanding: usize,
+    /// The rest of the batch record being committed, drained without
+    /// touching the shared buffer again.
+    drained: std::vec::IntoIter<NodeResult>,
 }
 
 impl<P: Process> PoolSource<'_, P> {
@@ -743,28 +707,60 @@ impl<P: Process> PoolSource<'_, P> {
         let Some(batch) = self.pool.pop_batch(self.next_deque % self.workers)? else {
             return Ok(false);
         };
-        let outs: Vec<(usize, NodeResult)> = batch
-            .into_iter()
-            .map(|node| {
-                let out =
-                    expand_node(self.ctx, &node, self.cfg, Some(&self.pool.claims), &mut self.cache);
-                (
-                    node.index,
-                    NodeResult {
-                        state: node.state,
-                        out,
-                    },
-                )
-            })
-            .collect();
-        if let Some(cap) = self.cfg.cache_cap {
-            self.cache.evict_if_over(cap);
-        }
-        let mut results = self.pool.results.lock().unwrap();
-        for (index, result) in outs {
-            results.insert(index, result)?;
-        }
+        let first = batch[0].index;
+        let results = expand_batch(self.ctx, self.cfg, &mut self.cache, batch);
+        self.pool.results.lock().unwrap().insert(first, results)?;
         Ok(true)
+    }
+
+    /// Waits for the batch record whose first node is `index`.
+    fn take_batch(&mut self, index: usize) -> Result<ResultBatch, SimError> {
+        // Nodes buffer in admission order, so the buffer's first index is
+        // its minimum: flush iff the node we are about to wait for (or any
+        // earlier one) is still sitting in the buffer.
+        if self.pending.first().is_some_and(|node| node.index <= index) {
+            self.flush()?;
+        }
+        loop {
+            {
+                let mut results = self.pool.results.lock().unwrap();
+                if let Some(batch) = results.remove(index)? {
+                    return Ok(batch);
+                }
+                // `stop` flips mid-run only when a worker unwound (its
+                // StopGuard) or hit a spill failure; without this check the
+                // committer would wait forever for the batch that worker
+                // was computing.
+                if self.pool.stop.load(Ordering::Acquire) {
+                    drop(results);
+                    return Err(self.stopped_abnormally());
+                }
+            }
+            // The batch is in flight. Expand a backlogged batch ourselves
+            // rather than sleeping — on saturated machines the committer is
+            // effectively one more worker; on oversubscribed ones it keeps
+            // progress independent of the scheduler.
+            if self.help()? {
+                continue;
+            }
+            // Nothing to help with: park until a worker delivers. The
+            // re-check under the lock pairs with the workers' insert-then-
+            // notify; the timeout covers the window between our failed help
+            // and the wait.
+            let mut results = self.pool.results.lock().unwrap();
+            if let Some(batch) = results.remove(index)? {
+                return Ok(batch);
+            }
+            if self.pool.stop.load(Ordering::Acquire) {
+                drop(results);
+                return Err(self.stopped_abnormally());
+            }
+            let _ = self
+                .pool
+                .results_ready
+                .wait_timeout(results, Duration::from_millis(10))
+                .unwrap();
+        }
     }
 
     /// A worker stopped the pool mid-run: a recorded spill failure becomes a
@@ -788,54 +784,18 @@ impl<P: Process> ResultSource<P> for PoolSource<'_, P> {
     }
 
     fn take(&mut self, index: usize) -> Result<NodeResult, SimError> {
-        // Nodes buffer in admission order, so the buffer's first index is
-        // its minimum: flush iff the node we are about to wait for (or any
-        // earlier one) is still sitting in the buffer.
-        if self.pending.first().is_some_and(|node| node.index <= index) {
-            self.flush()?;
-        }
-        loop {
-            {
-                let mut results = self.pool.results.lock().unwrap();
-                if let Some(result) = results.remove(index)? {
-                    self.outstanding -= 1;
-                    return Ok(result);
-                }
-                // `stop` flips mid-run only when a worker unwound (its
-                // StopGuard) or hit a spill failure; without this check the
-                // committer would wait forever for the result that worker
-                // was computing.
-                if self.pool.stop.load(Ordering::Acquire) {
-                    drop(results);
-                    return Err(self.stopped_abnormally());
-                }
+        // Takes follow dispatch order and batches are flushed in that order,
+        // so once a record is drained the next index opens the next record.
+        let result = match self.drained.next() {
+            Some(result) => result,
+            None => {
+                self.drained = self.take_batch(index)?.into_iter();
+                self.drained.next().expect("batches are never empty")
             }
-            // The result is in flight. Expand a backlogged batch ourselves
-            // rather than sleeping — on saturated machines the committer is
-            // effectively one more worker; on oversubscribed ones it keeps
-            // progress independent of the scheduler.
-            if self.help()? {
-                continue;
-            }
-            // Nothing to help with: park until a worker delivers. The
-            // re-check under the lock pairs with the workers' insert-then-
-            // notify; the timeout covers the window between our failed help
-            // and the wait.
-            let mut results = self.pool.results.lock().unwrap();
-            if let Some(result) = results.remove(index)? {
-                self.outstanding -= 1;
-                return Ok(result);
-            }
-            if self.pool.stop.load(Ordering::Acquire) {
-                drop(results);
-                return Err(self.stopped_abnormally());
-            }
-            let _ = self
-                .pool
-                .results_ready
-                .wait_timeout(results, Duration::from_millis(10))
-                .unwrap();
-        }
+        };
+        debug_assert_eq!(result.node.index, index, "batches drain in admission order");
+        self.outstanding -= 1;
+        Ok(result)
     }
 }
 
@@ -865,7 +825,7 @@ pub(crate) fn packed_violation<P: Process>(
 /// makes every stateful decision exactly the way the clone-based reference
 /// BFS does. This is the *only* place the admitted set, links, counters and
 /// outcome are touched, which is the whole determinism argument — `admit` is
-/// a private `HashSet` or the shared claim table's committed bitmap, but
+/// a private `HashSet` or the claim table's committed bitmap, but
 /// either way only this loop calls it, in one deterministic order.
 #[allow(clippy::too_many_arguments)]
 fn drive<P, S, A>(
@@ -885,8 +845,8 @@ where
     S: ResultSource<P>,
     A: AdmitSet,
 {
-    // The committer's own read-through intern cache (derivation of
-    // unclaimed children, violation checks, the root digest).
+    // The committer's own memoised read-through intern cache (child
+    // materialisation, violation checks, the root digest).
     let mut cache: PackedCache<P> = PackedCache::new();
     // Admitted-configuration count: tracks `admit` admissions one-for-one,
     // kept locally because the shared table has no cheap exact size.
@@ -1094,7 +1054,7 @@ where
             cache.evict_if_over(cap);
         }
         let (parent_link, d) = meta[next_commit];
-        let (expansion, parent_state) = match inline_active.remove(&next_commit) {
+        let (expansion, parent) = match inline_active.remove(&next_commit) {
             Some(has_active) => (
                 Expansion {
                     solo_failure: None,
@@ -1105,7 +1065,7 @@ where
             ),
             None => {
                 let result = source.take(next_commit)?;
-                (result.out?, Some(result.state))
+                (result.out?, Some(result.node))
             }
         };
         if let Some(pid) = expansion.solo_failure {
@@ -1121,7 +1081,7 @@ where
         if d >= limits.depth && expansion.has_active {
             complete = false;
         }
-        for Edge { pid, fp, child } in expansion.edges {
+        for Edge { pid, fp } in expansion.edges {
             if !admit.admit(fp)? {
                 continue;
             }
@@ -1135,19 +1095,11 @@ where
                     stats!(),
                 ));
             }
-            let child_state = match child {
-                Some(state) => state,
-                // The claim raced to another edge (or this is the
-                // sequential path): derive the child from the parent. Edges
-                // only come from dispatched nodes, so the state is present.
-                None => ctx
-                    .branch_step_cached(
-                        &mut cache,
-                        parent_state.as_ref().expect("expanded node state"),
-                        pid,
-                    )
-                    .expect("previewed edge steps"),
-            };
+            // Edges only come from dispatched nodes, so the parent is present.
+            let parent = parent.as_ref().expect("expanded node");
+            let child_state = ctx
+                .branch_step_cached(&mut cache, &parent.state, pid)
+                .expect("previewed edge steps");
             debug_assert_eq!(
                 fp,
                 ctx.digest(&child_state, symmetric),
@@ -1347,32 +1299,9 @@ where
         idle: Mutex::new(()),
         work_ready: Condvar::new(),
         stop: AtomicBool::new(false),
-        // Unbudgeted: sized for the run's admission cap and doubling as the
-        // authoritative seen set (the committer's root admission below lands
-        // before any dispatch, so workers can never win a claim on the
-        // root's fingerprint). Budgeted: a fixed-size *advisory* table —
-        // claims it cannot hold are dropped, which only costs a duplicate
-        // derivation at the committer — while authoritative admission moves
-        // to the tiered fingerprint store.
-        claims: match limits.memory_budget {
-            Some(budget) => {
-                // The advisory table is a real allocation of this run, so
-                // size it against what is *left* of the budget after the
-                // stores built above took their shares — including the
-                // 4 KiB floor, which on a sub-16-KiB budget would otherwise
-                // exceed the whole cap by itself.
-                let remaining = budget.saturating_sub(mem.tracker().resident_bytes());
-                ClaimTable::advisory((budget / 4).max(4096).min(remaining.max(1024)))
-            }
-            None => ClaimTable::new(limits.max_configs),
-        },
         io_error: Mutex::new(None),
     };
-    // The claim table is a real, budget-relevant allocation of the parallel
-    // run; charge it for as long as the pool lives.
-    let claim_bytes = pool.claims.resident_bytes();
-    mem.tracker().add_resident(claim_bytes);
-    let outcome = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for home in 0..workers {
             let pool = &pool;
             let ctx = &ctx;
@@ -1387,6 +1316,7 @@ where
             next_deque: 0,
             pending: Vec::new(),
             outstanding: 0,
+            drained: Vec::new().into_iter(),
         };
         // The guard (not explicit code) stops the pool, so the workers are
         // released even if `drive` panics mid-commit — otherwise the scope's
@@ -1407,23 +1337,28 @@ where
                 resume,
             )
         } else {
-            let mut admit = &pool.claims;
-            drive(
+            // Unbudgeted: the claim table's committed bitmap, sized for the
+            // run's admission cap, is the seen set; only this thread writes
+            // it. It is a real allocation of the run, so it is charged to
+            // the tracker for as long as it lives.
+            let table = ClaimTable::new(limits.max_configs);
+            mem.tracker().add_resident(table.resident_bytes());
+            let outcome = drive(
                 &ctx,
                 root,
                 inputs,
                 limits,
                 symmetric,
                 &mut source,
-                &mut admit,
+                &mut &table,
                 &mem,
                 ckpt.as_ref(),
                 resume,
-            )
+            );
+            mem.tracker().sub_resident(table.resident_bytes());
+            outcome
         }
-    });
-    mem.tracker().sub_resident(claim_bytes);
-    outcome
+    })
 }
 
 #[cfg(test)]
@@ -1459,6 +1394,59 @@ mod tests {
         if limits.depth > 0 || limits.solo_check_budget.is_some() {
             assert!(spill.1.bytes_spilled > 0, "zero budget must spill");
         }
+    }
+
+    /// A batch record mixing every result shape: a solo failure (budget 0
+    /// fails the first active pid), an edge-free horizon node, and two
+    /// multi-edge nodes.
+    fn mixed_batch(first: usize) -> ResultBatch {
+        let machine = Machine::start(&MaxRegConsensus::new(3), &[0, 1, 2]).unwrap();
+        let ctx = machine.packed_ctx();
+        let mut cache = PackedCache::new();
+        let root = machine.pack(&ctx);
+        let child = ctx.branch_step_cached(&mut cache, &root, 1).unwrap();
+        let plain = RunCfg { solo_budget: None, symmetric: false, cache_cap: None };
+        let solo = RunCfg { solo_budget: Some(0), ..plain };
+        [(&root, true, solo), (&child, false, plain), (&root, true, plain), (&child, true, plain)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (state, expand, cfg))| {
+                let fp = ctx.digest(state, false);
+                let node = Node { index: first + 2 * i, state: state.clone(), fp, expand };
+                let out = expand_node(&ctx, &node, cfg, &mut cache);
+                NodeResult { node, out }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_records_round_trip_and_park_in_first_index_order() {
+        let batch = mixed_batch(5);
+        let shapes: Vec<_> = batch.iter().map(|r| r.out.as_ref().unwrap()).collect();
+        assert_eq!(shapes[0].solo_failure, Some(0));
+        assert!(shapes[1].edges.is_empty() && shapes[1].has_active);
+        assert!(shapes[2].edges.len() > 1 && shapes[3].edges.len() > 1);
+        let mut bytes = Vec::new();
+        ResultCodec.encode(&batch, None, &mut bytes);
+        assert_eq!(ResultCodec.decode(&bytes, None), batch);
+
+        // One error result pins the whole record in memory.
+        let mut failing = mixed_batch(0);
+        assert!(ResultCodec.spillable(&failing));
+        failing[2].out = Err(SimError::SteppedDecided { pid: 1 });
+        assert!(!ResultCodec.spillable(&failing));
+
+        // At a zero budget every record parks, and comes back by first index.
+        let mem = SpillContext::new(Some(0));
+        let mut buffer = ReorderBuffer::new(ResultCodec, mem.clone());
+        for first in [40, 0, 20] {
+            buffer.insert(first, mixed_batch(first)).unwrap();
+        }
+        assert!(mem.tracker().bytes_spilled() > 0, "zero budget must park batches");
+        for first in [0, 20, 40] {
+            assert_eq!(buffer.remove(first).unwrap(), Some(mixed_batch(first)));
+        }
+        assert_eq!(mem.tracker().resident_bytes(), 0);
     }
 
     #[test]
@@ -1497,7 +1485,7 @@ mod tests {
         }
         // ...so caps above the fallback threshold are needed to exercise the
         // work-stealing committer's over-cap shutdown (early return while
-        // workers still speculate) against the reference.
+        // workers still preview) against the reference.
         for cap in [1_200, 2_048] {
             agree(
                 &MaxRegConsensus::new(3),

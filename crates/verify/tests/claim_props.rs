@@ -1,6 +1,6 @@
-//! Property tests for the lock-free claim table — the shared fingerprint
-//! set both the explorer's workers (advisory claims) and its committer
-//! (authoritative admissions) race on.
+//! Property tests for the lock-free claim table — the parallel explorer's
+//! committed fingerprint set, which stays exactly-once when claims (inserts
+//! that do not admit) race admissions.
 //!
 //! The reference model is the structure the table replaced: a
 //! `HashSet<u128>`. For random fingerprint workloads — duplicates, zero
@@ -59,7 +59,7 @@ proptest! {
         for (i, &raw) in raws.iter().enumerate() {
             let fp = widen(raw, true);
             if claim_first[i % claim_first.len()] {
-                table.claim(fp); // advisory claims must not affect admission
+                table.claim(fp); // claims must not affect admission
             }
             prop_assert_eq!(table.admit(fp), reference.insert(fp));
         }
