@@ -7,23 +7,17 @@
 //! - `frontier/…` — the packed-state engine (`cbh_verify::checker::explore`
 //!   / `Explorer`), sequential;
 //! - `frontier_par/…` — the same engine with the work-stealing pool at
-//!   hardware parallelism;
-//! - `barrier_par/…` — the preserved PR-2 barrier engine
-//!   (`cbh_verify::legacy`) at the same worker count, the baseline the
-//!   packed engine's multi-worker speedup is measured against (the
-//!   `bench_explore` bin emits the machine-readable comparison);
-//! - `legacy/…` — the original recursive checker, kept verbatim below as
-//!   the deep-history baseline: it memoises deep-cloned `Machine`s keyed by
-//!   their full state (step counters included).
+//!   hardware parallelism.
+//!
+//! The `bench_explore` bin emits the machine-readable worker-count and
+//! shard-count comparison.
 
 use cbh_core::bitwise::tas_reset_consensus;
 use cbh_core::cas::CasConsensus;
 use cbh_core::maxreg::MaxRegConsensus;
-use cbh_model::{Process, Protocol};
-use cbh_sim::{Machine, SimError};
+use cbh_model::Protocol;
 use cbh_verify::checker::{explore, ExploreLimits, ExploreOutcome, Explorer};
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::HashSet;
 
 fn configure(c: &mut Criterion) -> Criterion {
     let _ = c;
@@ -31,34 +25,6 @@ fn configure(c: &mut Criterion) -> Criterion {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_millis(600))
         .warm_up_time(std::time::Duration::from_millis(150))
-}
-
-/// The pre-refactor checker (recursive DFS over deep-cloned machines),
-/// reproduced as the baseline; returns the configurations visited.
-fn legacy_explore<P: Protocol>(protocol: &P, inputs: &[u64], limits: ExploreLimits) -> usize {
-    fn explore_rec<Proc: Process>(
-        machine: &Machine<Proc>,
-        limits: &ExploreLimits,
-        seen: &mut HashSet<Machine<Proc>>,
-        depth: usize,
-    ) -> Result<(), SimError> {
-        if !seen.insert(machine.clone()) || seen.len() > limits.max_configs {
-            return Ok(());
-        }
-        if depth >= limits.depth {
-            return Ok(());
-        }
-        for pid in machine.active() {
-            let mut next = machine.clone();
-            next.step(pid)?;
-            explore_rec(&next, limits, seen, depth + 1)?;
-        }
-        Ok(())
-    }
-    let machine = Machine::start(protocol, inputs).expect("protocol starts");
-    let mut seen = HashSet::new();
-    explore_rec(&machine, &limits, &mut seen, 0).expect("exploration runs");
-    seen.len()
 }
 
 /// Runs the frontier engine and returns configs visited, asserting a clean
@@ -84,10 +50,9 @@ where
     // Record the workload sizes once, outside the timed loops: configs/sec =
     // configs below / measured time per iteration.
     eprintln!(
-        "[workload {}] frontier visits {} configs, legacy visits {} (step-counter-distinct) states",
+        "[workload {}] frontier visits {} configs",
         w.name,
         frontier_configs(&w.protocol, &w.inputs, w.limits),
-        legacy_explore(&w.protocol, &w.inputs, w.limits),
     );
     let mut g = c.benchmark_group("explore");
     g.bench_function(format!("frontier/{}", w.name), |b| {
@@ -97,15 +62,6 @@ where
     let parallel = Explorer::new().limits(w.limits).workers(hw);
     g.bench_function(format!("frontier_par/{}", w.name), |b| {
         b.iter(|| parallel.explore(&w.protocol, &w.inputs).unwrap());
-    });
-    g.bench_function(format!("barrier_par/{}", w.name), |b| {
-        b.iter(|| {
-            cbh_verify::legacy::legacy_explore_stats(&w.protocol, &w.inputs, w.limits, hw, false)
-                .unwrap()
-        });
-    });
-    g.bench_function(format!("legacy/{}", w.name), |b| {
-        b.iter(|| legacy_explore(&w.protocol, &w.inputs, w.limits));
     });
     g.finish();
 }
@@ -148,9 +104,8 @@ fn maxreg3_row(c: &mut Criterion) {
 
 fn tas_reset_row(c: &mut Criterion) {
     // Row 4, {read, test-and-set, reset}: heavyweight per-process bit-by-bit
-    // state, where the branch-light walk (undo-stepping + incremental
-    // fingerprints, no clone or full-state hash per edge) shows its largest
-    // margin over the clone-everything baseline — ≥ 5× configs/sec.
+    // state, where interned packed states and incremental digests (no clone
+    // or full-state hash per edge) matter most.
     bench_workload(
         c,
         &Workload {

@@ -1,13 +1,12 @@
 //! `bench_explore`: the explore-engine trajectory harness.
 //!
 //! Runs a fixed set of Table-1 exploration workloads through the packed
-//! work-stealing engine and the legacy barrier engine at 1/2/4/8 workers,
-//! plus a **spilling** packed run (frontier memory budget pinned to 10% of
-//! the unbounded run's observed resident peak) and a packed-only
-//! **deep-horizon** row (≥10⁶ configs, where claim-table occupancy and
-//! intern-cache hit rates actually matter), and emits machine-readable
-//! `BENCH_explore.json` (schema `bench_explore/v7`: configs/sec per row ×
-//! engine × worker count, packed-vs-legacy and w8-vs-w1 speedups, the
+//! work-stealing engine at 1/2/4/8 workers, plus a **spilling** run
+//! (frontier memory budget pinned to 10% of the unbounded run's observed
+//! resident peak) and a **deep-horizon** row (≥10⁶ configs, where
+//! claim-table occupancy and intern-cache hit rates actually matter), and
+//! emits machine-readable `BENCH_explore.json` (schema `bench_explore/v8`:
+//! configs/sec per row × engine × worker count, the w8-vs-w1 speedup, the
 //! host's `hw_threads`, and per-row memory telemetry: `peak_resident_bytes`,
 //! `bytes_spilled`, `spill_slowdown_w1`, the tiered-store breakdown
 //! `seen_resident_bytes` / `intern_resident_bytes` / `fpset_disk_bytes`
@@ -23,15 +22,17 @@
 //! `trace_capture_overhead`, the traced-vs-plain wall-clock ratio measured
 //! from back-to-back pairs — the compact log's perturbation budget,
 //! accumulated per commit.
+//! v8 dropped the cells, speedups and cross-check of the retired
+//! machine-walking baseline engine; every remaining field is unchanged.
 //! CI uploads the file as a non-gating artifact, so engine-throughput
 //! history accumulates per commit without making perf a flaky test — but
 //! the artifact's *shape* is gated: `--validate FILE` re-checks a written
 //! file against the schema and CI fails the build on drift.
 //!
-//! Every run first cross-checks that both engines produce bit-identical
-//! `(ExploreOutcome, ExploreStats)` on every workload — a measurement of two
-//! disagreeing engines would be meaningless — and the spilling and
-//! deep-horizon runs are held to the same bar (deep: packed w8 vs w1).
+//! Every timed run is held bit-identical (`(ExploreOutcome, ExploreStats)`)
+//! to the row's unbounded 1-worker run — worker counts, spilling,
+//! checkpointing and sharding may only move time and bytes, never the
+//! explored space.
 //!
 //! After writing the JSON the harness scans for parallel-scaling
 //! regressions: any row whose packed 8-worker throughput falls below 0.9×
@@ -45,7 +46,7 @@
 //! Usage: `bench_explore [--quick] [--out PATH] | bench_explore --validate FILE`
 //!   --quick     one timed iteration per cell (CI smoke) instead of three
 //!   --out       output path (default `BENCH_explore.json`)
-//!   --validate  parse FILE and check it against schema v7; exits nonzero
+//!   --validate  parse FILE and check it against schema v8; exits nonzero
 //!               on drift, runs no benchmarks
 
 use cbh_core::bitwise::{tas_reset_consensus, write01_consensus};
@@ -56,7 +57,6 @@ use cbh_sim::replay_schedule;
 use cbh_sync::{run_threaded_bounded, run_threaded_traced};
 use cbh_verify::checker::{ExploreLimits, ExploreOutcome, ExploreStats, Explorer};
 use cbh_verify::dist::{explore_sharded, DistConfig};
-use cbh_verify::legacy::legacy_explore_stats;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -178,7 +178,6 @@ where
 }
 
 fn run_engine<P: Protocol>(
-    packed: bool,
     protocol: &P,
     inputs: &[u64],
     limits: ExploreLimits,
@@ -187,16 +186,11 @@ fn run_engine<P: Protocol>(
 where
     P::Proc: Send + Sync,
 {
-    if packed {
-        Explorer::new()
-            .workers(workers)
-            .limits(limits)
-            .explore_stats(protocol, inputs)
-            .expect("workload explores cleanly")
-    } else {
-        legacy_explore_stats(protocol, inputs, limits, workers, false)
-            .expect("workload explores cleanly")
-    }
+    Explorer::new()
+        .workers(workers)
+        .limits(limits)
+        .explore_stats(protocol, inputs)
+        .expect("workload explores cleanly")
 }
 
 /// Capture-overhead telemetry for the real-thread backend: how much the
@@ -262,35 +256,31 @@ where
         memory_budget: None,
         checkpoint_every: None,
     };
-    // Conformance gate: a throughput number is only meaningful if the two
-    // engines are exploring the same space to the same verdict.
-    let packed = run_engine(true, &protocol, inputs, limits, 1);
-    let legacy = run_engine(false, &protocol, inputs, limits, 1);
-    assert_eq!(packed, legacy, "{name}: packed and legacy engines diverged");
+    // The unbounded 1-worker run is the row's baseline: every timed cell
+    // below must reproduce it bit for bit.
+    let packed = run_engine(&protocol, inputs, limits, 1);
     let configs = packed.1.configs;
 
     let mut cells = Vec::new();
     for &workers in &WORKER_COUNTS {
-        for (engine, is_packed) in [("packed", true), ("legacy", false)] {
-            // Warm-up once (thread pools, intern tables, allocator), then
-            // keep the best of `iters` timed runs: explorations are
-            // deterministic, so the minimum is the least-noise estimate.
-            run_engine(is_packed, &protocol, inputs, limits, workers);
-            let mut best = f64::MAX;
-            for _ in 0..iters {
-                let start = Instant::now();
-                let out = run_engine(is_packed, &protocol, inputs, limits, workers);
-                let secs = start.elapsed().as_secs_f64();
-                assert_eq!(out.1.configs, configs, "{name}: nondeterministic run");
-                best = best.min(secs);
-            }
-            cells.push(Cell {
-                engine,
-                workers,
-                secs: best,
-                configs_per_sec: configs as f64 / best,
-            });
+        // Warm-up once (thread pools, intern tables, allocator), then keep
+        // the best of `iters` timed runs: explorations are deterministic, so
+        // the minimum is the least-noise estimate.
+        run_engine(&protocol, inputs, limits, workers);
+        let mut best = f64::MAX;
+        for _ in 0..iters {
+            let start = Instant::now();
+            let out = run_engine(&protocol, inputs, limits, workers);
+            let secs = start.elapsed().as_secs_f64();
+            assert_eq!(out, packed, "{name}: {workers}-worker run diverged");
+            best = best.min(secs);
         }
+        cells.push(Cell {
+            engine: "packed",
+            workers,
+            secs: best,
+            configs_per_sec: configs as f64 / best,
+        });
     }
 
     // Spill trajectory: the same workload with the frontier budget pinned to
@@ -321,7 +311,7 @@ where
     let mut spill_slowdown_w1 = f64::NAN;
     let spill_workers: &[usize] = if spill_budget > 0 { &[1, 8] } else { &[] };
     for &workers in spill_workers {
-        run_engine(true, &protocol, inputs, spill_limits, workers);
+        run_engine(&protocol, inputs, spill_limits, workers);
         let mut best = f64::MAX;
         // The w1 slowdown is a *paired* measurement: each iteration times an
         // unbounded run immediately before its budgeted run, and the ratio is
@@ -336,11 +326,11 @@ where
         for _ in 0..pair_iters {
             if workers == 1 {
                 let start = Instant::now();
-                run_engine(true, &protocol, inputs, limits, workers);
+                run_engine(&protocol, inputs, limits, workers);
                 best_unbounded = best_unbounded.min(start.elapsed().as_secs_f64());
             }
             let start = Instant::now();
-            let out = run_engine(true, &protocol, inputs, spill_limits, workers);
+            let out = run_engine(&protocol, inputs, spill_limits, workers);
             let secs = start.elapsed().as_secs_f64();
             assert_eq!(out, packed, "{name}: spilling run diverged");
             assert!(out.1.bytes_spilled > 0, "{name}: spill cell never spilled");
@@ -428,10 +418,9 @@ where
     (out.1.checkpoint_bytes, out.1.checkpoint_ms)
 }
 
-/// The deep-horizon row: a state space past 10⁶ configs, measured
-/// packed-only at 1 and 8 workers. The legacy engine is deliberately
-/// skipped — at its ~5–10× lower throughput the row would dominate the
-/// whole harness — and so are the spill cells (the memory-budget suites
+/// The deep-horizon row: a state space past 10⁶ configs, measured at 1
+/// and 8 workers only. The 2/4-worker and spill cells are skipped so the
+/// row does not dominate the whole harness (the memory-budget suites
 /// already pin spilling semantics). What the row *does* reach is the regime
 /// the small rows can't: claim-table occupancy high enough for real probe
 /// chains, intern tables big enough that the per-worker caches are
@@ -457,8 +446,8 @@ where
     // Conformance gate at full scale: the racing claim path must reproduce
     // the sequential committer bit-for-bit. These two runs double as the
     // warm-ups for the timed cells below.
-    let w1 = run_engine(true, &protocol, inputs, limits, 1);
-    let w8 = run_engine(true, &protocol, inputs, limits, 8);
+    let w1 = run_engine(&protocol, inputs, limits, 1);
+    let w8 = run_engine(&protocol, inputs, limits, 8);
     assert_eq!(w1, w8, "{name}: packed w1 and w8 diverged");
     let configs = w1.1.configs;
     assert!(
@@ -471,7 +460,7 @@ where
         let mut best = f64::MAX;
         for _ in 0..iters {
             let start = Instant::now();
-            let out = run_engine(true, &protocol, inputs, limits, workers);
+            let out = run_engine(&protocol, inputs, limits, workers);
             let secs = start.elapsed().as_secs_f64();
             assert_eq!(out.1.configs, configs, "{name}: nondeterministic run");
             best = best.min(secs);
@@ -529,7 +518,7 @@ fn json_escape_free(s: &str) -> &str {
 }
 
 /// Writes `"key": ratio` with `null` for cells the row never measured
-/// (e.g. legacy speedups on the packed-only deep-horizon row).
+/// (e.g. the spill slowdown on the deep-horizon row).
 fn write_ratio(out: &mut String, key: &str, value: f64) {
     if value.is_finite() {
         let _ = writeln!(out, "      \"{key}\": {value:.3},");
@@ -540,7 +529,7 @@ fn write_ratio(out: &mut String, key: &str, value: f64) {
 
 fn render_json(rows: &[RowReport], hw_threads: usize) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"bench_explore/v7\",\n");
+    out.push_str("{\n  \"schema\": \"bench_explore/v8\",\n");
     // Hardware parallelism actually available to the run: throughput and
     // scaling numbers are meaningless without it (packed w8 on a 1-thread
     // host measures the scheduler, not the engine).
@@ -584,16 +573,6 @@ fn render_json(rows: &[RowReport], hw_threads: usize) -> String {
         write_ratio(&mut out, "spill_slowdown_w1", row.spill_slowdown_w1);
         write_ratio(
             &mut out,
-            "speedup_packed_vs_legacy_w8",
-            cps(row, "packed", 8) / cps(row, "legacy", 8),
-        );
-        write_ratio(
-            &mut out,
-            "speedup_packed_vs_legacy_w1",
-            cps(row, "packed", 1) / cps(row, "legacy", 1),
-        );
-        write_ratio(
-            &mut out,
             "speedup_packed_w8_vs_w1",
             cps(row, "packed", 8) / cps(row, "packed", 1),
         );
@@ -621,11 +600,11 @@ fn render_json(rows: &[RowReport], hw_threads: usize) -> String {
 /// field fails CI's validation step instead of silently corrupting the
 /// accumulated throughput history.
 fn validate_schema(text: &str) -> Result<(), String> {
-    if !text.contains("\"schema\": \"bench_explore/v7\"") {
-        return Err("schema tag is not bench_explore/v7".to_string());
+    if !text.contains("\"schema\": \"bench_explore/v8\"") {
+        return Err("schema tag is not bench_explore/v8".to_string());
     }
     const TOP_KEYS: [&str; 3] = ["hw_threads", "worker_counts", "rows"];
-    const ROW_KEYS: [&str; 20] = [
+    const ROW_KEYS: [&str; 19] = [
         "name",
         "configs",
         "peak_resident_bytes",
@@ -644,7 +623,6 @@ fn validate_schema(text: &str) -> Result<(), String> {
         "speedup_shards4_vs_1",
         "spill_slowdown_w1",
         "speedup_packed_w8_vs_w1",
-        "speedup_packed_vs_legacy_w8",
         "cells",
     ];
     const CELL_KEYS: [&str; 4] = ["engine", "workers", "secs", "configs_per_sec"];
@@ -706,7 +684,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("--validate: cannot read {file}: {e}"));
         match validate_schema(&text) {
             Ok(()) => {
-                eprintln!("{file}: valid bench_explore/v7 artifact");
+                eprintln!("{file}: valid bench_explore/v8 artifact");
                 return;
             }
             Err(why) => {
@@ -753,7 +731,7 @@ fn main() {
     ];
 
     eprintln!(
-        "row                 configs  packed-w1   packed-w8   legacy-w1   legacy-w8  p/l @w8  spill-w1  slow  spilledKB  s4/s1  trace"
+        "row                 configs  packed-w1   packed-w8  spill-w1  slow  spilledKB  s4/s1  trace"
     );
     for row in &rows {
         let spill_cps = cps(row, "packed-spill", 1);
@@ -765,21 +743,12 @@ fn main() {
         } else {
             ("-".to_string(), "-".to_string())
         };
-        let pl_w8 = cps(row, "packed", 8) / cps(row, "legacy", 8);
-        let pl_col = if pl_w8.is_finite() {
-            format!("{pl_w8:.2}x")
-        } else {
-            "-".to_string()
-        };
         eprintln!(
-            "{:<19} {:>7}  {:>9}  {:>9}  {:>9}  {:>9}  {:>7} {:>9} {:>5} {:>9}  {:>5}  {:>5}",
+            "{:<19} {:>7}  {:>9}  {:>9} {:>9} {:>5} {:>9}  {:>5}  {:>5}",
             row.name,
             row.configs,
             fmt_cps(cps(row, "packed", 1)),
             fmt_cps(cps(row, "packed", 8)),
-            fmt_cps(cps(row, "legacy", 1)),
-            fmt_cps(cps(row, "legacy", 8)),
-            pl_col,
             spill_col,
             slow_col,
             row.bytes_spilled / 1024,

@@ -60,7 +60,7 @@ pub use error::ModelError;
 pub use fingerprint::{fingerprint_of, Fp128Hasher};
 pub use instruction::{Instruction, InstructionKind, Op};
 pub use iset::InstructionSet;
-pub use memory::{Locations, Memory, MemorySpec, MemoryUndo};
+pub use memory::{Locations, Memory, MemorySpec};
 pub use packed::delta::{
     apply_delta, apply_delta_into, decode_flat, encode_delta, encode_flat, DeltaError,
 };

@@ -238,54 +238,6 @@ impl Memory {
         }
     }
 
-    /// Applies one atomic step like [`Memory::apply`], additionally returning
-    /// a token that [`Memory::undo`] consumes to restore the pre-step memory.
-    ///
-    /// Snapshots only the locations the op targets, so a branch-and-revert
-    /// costs O(locations touched), not O(memory) — this is what lets the
-    /// state-space engine walk an edge of the configuration graph and back
-    /// without cloning the whole memory. Unlike [`Memory::apply`], a failed
-    /// step is rolled back completely before the error is returned.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Memory::apply`].
-    pub fn apply_undoable(&mut self, op: &Op) -> Result<(Value, MemoryUndo)> {
-        let prev_len = self.cells.len();
-        let prev_touched = self.touched;
-        let mut prev_cells = Vec::new();
-        let trivial = matches!(op, Op::Single { instr, .. } if instr.is_trivial());
-        if !trivial {
-            for loc in op.touches() {
-                if let Some(cell) = self.cells.get(loc) {
-                    prev_cells.push((loc, cell.clone()));
-                }
-            }
-        }
-        let undo = MemoryUndo {
-            prev_cells,
-            prev_len,
-            prev_touched,
-        };
-        match self.apply(op) {
-            Ok(result) => Ok((result, undo)),
-            Err(e) => {
-                self.undo(undo);
-                Err(e)
-            }
-        }
-    }
-
-    /// Reverts the step that produced `undo`. Tokens must be consumed in
-    /// reverse order of application (last step undone first).
-    pub fn undo(&mut self, undo: MemoryUndo) {
-        self.cells.truncate(undo.prev_len);
-        for (loc, cell) in undo.prev_cells {
-            self.cells[loc] = cell;
-        }
-        self.touched = undo.prev_touched;
-    }
-
     fn ensure(&mut self, loc: usize) -> Result<()> {
         if loc < self.cells.len() {
             return Ok(());
@@ -342,15 +294,6 @@ impl Memory {
             touched,
         }
     }
-}
-
-/// Undo token returned by [`Memory::apply_undoable`]: the pre-step contents
-/// of exactly the locations the op could have changed.
-#[derive(Debug, Clone)]
-pub struct MemoryUndo {
-    prev_cells: Vec<(usize, CellState)>,
-    prev_len: usize,
-    prev_touched: usize,
 }
 
 impl fmt::Debug for Memory {
@@ -455,33 +398,6 @@ mod tests {
         let spec = MemorySpec::bounded(InstructionSet::ReadTas, 2);
         let mut mem = Memory::new(&spec);
         assert!(mem.apply(&Op::multi_assign([(0, Value::int(4))])).is_err());
-    }
-
-    #[test]
-    fn apply_undoable_roundtrips_every_op_kind() {
-        let spec = MemorySpec::bounded(InstructionSet::ReadWriteFetchIncrement, 2);
-        let mut mem = Memory::new(&spec);
-        mem.apply(&Op::single(0, I::write(5))).unwrap();
-        let before = mem.clone();
-        let (result, undo) = mem
-            .apply_undoable(&Op::single(0, I::FetchAndIncrement))
-            .unwrap();
-        assert_eq!(result, Value::int(5));
-        assert_ne!(mem, before);
-        mem.undo(undo);
-        assert_eq!(mem, before, "undo restores cells and touched count");
-        // Growth is rolled back too.
-        let mut mem = Memory::new(&MemorySpec::unbounded(InstructionSet::ReadWrite));
-        let before = mem.clone();
-        let (_, undo) = mem.apply_undoable(&Op::single(9, I::write(1))).unwrap();
-        assert_eq!(mem.len(), 10);
-        mem.undo(undo);
-        assert_eq!(mem, before);
-        // A failed step leaves memory untouched (stronger than `apply`).
-        let mut mem = Memory::new(&MemorySpec::bounded(InstructionSet::ReadWrite, 1));
-        let before = mem.clone();
-        assert!(mem.apply_undoable(&Op::single(0, I::TestAndSet)).is_err());
-        assert_eq!(mem, before);
     }
 
     #[test]

@@ -140,7 +140,8 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) of `bytes` — the same polynomial the snapshot format uses.
+/// CRC32 (IEEE) of `bytes` — the one checksum both this frame format and
+/// the explorer's on-disk snapshot format use.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {

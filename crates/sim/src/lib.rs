@@ -48,7 +48,7 @@ mod machine;
 mod report;
 mod scheduler;
 
-pub use machine::{Event, Machine, SimError, StepOutcome, StepUndo};
+pub use machine::{Event, Machine, SimError, StepOutcome};
 pub use report::{ConsensusReport, Violation};
 pub use scheduler::{
     ObstructionScheduler, RandomScheduler, RoundRobinScheduler, Scheduler, ScriptedScheduler,

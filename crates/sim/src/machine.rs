@@ -3,22 +3,10 @@
 use crate::report::ConsensusReport;
 use crate::scheduler::Scheduler;
 use cbh_model::{
-    Action, Memory, MemoryUndo, ModelError, Op, PackedCache, PackedCtx, PackedState, Process,
+    Action, Memory, ModelError, Op, PackedCache, PackedCtx, PackedState, Process,
     Protocol, Value,
 };
 use std::fmt;
-
-/// Undo token returned by [`Machine::step_undoable`]: the pre-step state of
-/// exactly what the step could have changed (one process, one decision slot,
-/// the targeted memory locations).
-#[derive(Debug, Clone)]
-pub struct StepUndo<P: Process> {
-    pid: usize,
-    prev_decided: Option<u64>,
-    /// `Some` iff the step executed an instruction (rather than only
-    /// recording a pending decision).
-    invoked: Option<(P, MemoryUndo)>,
-}
 
 /// An error raised while executing a protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,81 +261,10 @@ impl<P: Process> Machine<P> {
         }
     }
 
-    /// Executes one step of `pid` like [`Machine::step`], additionally
-    /// returning a token that [`Machine::undo_step`] consumes to restore the
-    /// pre-step configuration in place.
-    ///
-    /// This is the branch-light walk primitive of the state-space engine: an
-    /// edge of the configuration graph costs one cloned process state and the
-    /// touched memory cells — O(step footprint) — instead of a whole-machine
-    /// clone, and duplicate successors are detected and abandoned without
-    /// ever materialising a second `Machine`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Machine::step`]; on error the configuration is
-    /// fully rolled back.
-    pub fn step_undoable(&mut self, pid: usize) -> Result<(StepOutcome, StepUndo<P>), SimError> {
-        let prev_decided = self.decided[pid];
-        match self.procs[pid].action() {
-            Action::Decide(v) => {
-                self.decided[pid] = Some(v);
-                Ok((
-                    StepOutcome::AlreadyDecided(v),
-                    StepUndo {
-                        pid,
-                        prev_decided,
-                        invoked: None,
-                    },
-                ))
-            }
-            Action::Invoke(op) => {
-                let (result, memory_undo) =
-                    self.memory.apply_undoable(&op).map_err(|source| SimError::Model {
-                        pid,
-                        step: self.steps,
-                        source,
-                    })?;
-                let prev_proc = self.procs[pid].clone();
-                self.procs[pid].absorb(result.clone());
-                self.steps += 1;
-                self.proc_steps[pid] += 1;
-                if let Action::Decide(v) = self.procs[pid].action() {
-                    self.decided[pid] = Some(v);
-                }
-                Ok((
-                    StepOutcome::Invoked { op, result },
-                    StepUndo {
-                        pid,
-                        prev_decided,
-                        invoked: Some((prev_proc, memory_undo)),
-                    },
-                ))
-            }
-        }
-    }
-
-    /// Reverts the step that produced `undo`. Tokens must be consumed in
-    /// reverse order of application (last step undone first).
-    pub fn undo_step(&mut self, undo: StepUndo<P>) {
-        let StepUndo {
-            pid,
-            prev_decided,
-            invoked,
-        } = undo;
-        if let Some((prev_proc, memory_undo)) = invoked {
-            self.procs[pid] = prev_proc;
-            self.memory.undo(memory_undo);
-            self.steps -= 1;
-            self.proc_steps[pid] -= 1;
-        }
-        self.decided[pid] = prev_decided;
-    }
-
     /// The decision recorded for `pid` by a past step, without consulting the
     /// process's poised action. [`Machine::decision`] is the semantic query;
-    /// this accessor exists so incremental fingerprints can hash exactly the
-    /// stored state.
+    /// this accessor exposes exactly the stored state, so a comparison of two
+    /// configurations (as the reference oracle makes) sees what a step wrote.
     pub fn recorded_decision(&self, pid: usize) -> Option<u64> {
         self.decided[pid]
     }
@@ -745,32 +662,6 @@ mod tests {
         let right = a.branch_step(1).unwrap().branch_step(1).unwrap();
         assert_ne!(left.fingerprint(), right.fingerprint());
         assert_eq!(left.fingerprint_symmetric(), right.fingerprint_symmetric());
-    }
-
-    #[test]
-    fn step_undoable_roundtrips_invokes_and_decisions() {
-        let p = AdderProtocol { n: 2, rounds: 1 };
-        let mut m = Machine::start(&p, &[0, 0]).unwrap();
-        let snapshot = m.clone();
-        // An instruction step: state moves, undo restores it exactly.
-        let (outcome, undo) = m.step_undoable(0).unwrap();
-        assert!(matches!(outcome, StepOutcome::Invoked { .. }));
-        assert_ne!(m, snapshot);
-        m.undo_step(undo);
-        assert_eq!(m, snapshot);
-        // Redo and let p0 reach its decision, then undo the decision record.
-        m.step(0).unwrap();
-        let decided = m.clone();
-        assert_eq!(m.recorded_decision(0), Some(0));
-        let (outcome, undo) = m.step_undoable(0).unwrap();
-        assert_eq!(outcome, StepOutcome::AlreadyDecided(0));
-        m.undo_step(undo);
-        assert_eq!(m, decided);
-        // Undo-stepping agrees with branch_step at every edge.
-        let (_, undo) = m.step_undoable(1).unwrap();
-        let via_undo = m.clone();
-        m.undo_step(undo);
-        assert_eq!(via_undo, m.branch_step(1).unwrap());
     }
 
     #[test]

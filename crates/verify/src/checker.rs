@@ -25,19 +25,18 @@
 //! [`cbh_model::PackedState`] representation (see
 //! [`crate::packed_engine`]'s module docs for the work-stealing
 //! architecture); [`Machine`]s appear only at the edges — the root, solo
-//! probes, and counterexample reconstruction. The barrier-synchronised
-//! predecessor engine survives as [`crate::legacy`], and the clone-based
-//! [`crate::reference`] BFS remains the conformance oracle's ground truth;
-//! all three implementations must agree bit for bit.
+//! probes, and counterexample reconstruction. The clone-based
+//! [`crate::reference`] BFS remains the conformance oracle's ground truth,
+//! and every engine — this one and the sharded [`crate::dist`] explorer —
+//! must agree with it bit for bit.
 
 use crate::packed_engine;
 use crate::packed_engine::CheckpointCfg;
 use crate::snapshot::{Snapshot, SnapshotError};
-use cbh_model::{Action, Fp128Hasher, Process, Protocol};
-use cbh_sim::{Machine, SimError, StepUndo};
+use cbh_model::{Process, Protocol};
+use cbh_sim::{Machine, SimError};
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// What the exhaustive exploration found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,7 +213,7 @@ pub struct ExploreLimits {
     /// struct docs for how to size it).
     pub memory_budget: Option<usize>,
     /// Admissions between checkpoint snapshots, for runs with a checkpoint
-    /// path configured ([`Explorer::checkpoint_to`] or [`explore_resumable`]).
+    /// path configured ([`Explorer::checkpoint_to`]).
     /// `None` uses [`DEFAULT_CHECKPOINT_EVERY`]. Without a checkpoint path
     /// the cadence is inert — setting it alone never writes anything.
     ///
@@ -236,7 +235,7 @@ pub struct ExploreLimits {
 
 impl Default for ExploreLimits {
     fn default() -> Self {
-        // Sized for the fingerprint-based frontier engine: the legacy
+        // Sized for the fingerprint-based frontier engine: the original
         // recursive checker defaulted to depth 40 / 200k configurations of
         // deep-cloned machines; fingerprints and inline integer words push
         // the same memory budget past a million configurations. Frontier
@@ -260,120 +259,6 @@ pub(crate) const NO_LINK: usize = usize::MAX;
 
 /// One admitted configuration's provenance: (parent link index, pid stepped).
 pub(crate) type Link = (usize, usize);
-
-// ---------------------------------------------------------------------------
-// Incremental configuration fingerprints.
-//
-// The explored fingerprint is a Zobrist-style wrapping sum of independent
-// 128-bit FNV components: one per (pid, process state, recorded decision),
-// one per (location, cell), one for the touched-location count. A step
-// changes one process and the cells its op targets, so a successor's
-// fingerprint is the parent's, minus the old components, plus the new ones —
-// O(step footprint) instead of a full-state hash per edge. In symmetric mode
-// the process components drop the pid tag, making the sum invariant under
-// process permutation (the multiset of process states is what's hashed).
-// ---------------------------------------------------------------------------
-
-fn comp_proc<Proc: Process>(machine: &Machine<Proc>, pid: usize, symmetric: bool) -> u128 {
-    let mut h = Fp128Hasher::new();
-    h.write_u8(b'p');
-    if !symmetric {
-        h.write_usize(pid);
-    }
-    machine.process(pid).hash(&mut h);
-    machine.recorded_decision(pid).hash(&mut h);
-    h.finish128()
-}
-
-fn comp_cell(loc: usize, cell: &cbh_model::CellState) -> u128 {
-    let mut h = Fp128Hasher::new();
-    h.write_u8(b'c');
-    h.write_usize(loc);
-    cell.hash(&mut h);
-    h.finish128()
-}
-
-fn comp_touched(touched: usize) -> u128 {
-    let mut h = Fp128Hasher::new();
-    h.write_u8(b't');
-    h.write_usize(touched);
-    h.finish128()
-}
-
-/// Full-scan Zobrist digest of a configuration — the engine computes this
-/// once for the root and maintains it incrementally along every edge.
-///
-/// Public so conformance tests can pin the incremental maintenance
-/// ([`zobrist_step`]) against a from-scratch re-hash after arbitrary
-/// step/undo sequences. Distinct from [`Machine::fingerprint`], which hashes
-/// the same semantic state through a different (non-incremental)
-/// construction; the reference oracle keys on that one, precisely so the two
-/// engines share no hashing code.
-pub fn zobrist_fingerprint<Proc: Process>(machine: &Machine<Proc>, symmetric: bool) -> u128 {
-    let mut fp = comp_touched(machine.memory().touched());
-    for pid in 0..machine.n() {
-        fp = fp.wrapping_add(comp_proc(machine, pid, symmetric));
-    }
-    for loc in 0..machine.memory().len() {
-        let cell = machine.memory().cell(loc).expect("loc < len");
-        fp = fp.wrapping_add(comp_cell(loc, cell));
-    }
-    fp
-}
-
-/// Steps `machine` by `pid` and returns the successor's Zobrist digest,
-/// derived **incrementally** from the parent's `base_fp` (which must be
-/// `zobrist_fingerprint(machine, symmetric)` before the call): the parent's
-/// per-process and per-cell components for everything the step touches are
-/// subtracted and the successor's added, O(step footprint) instead of a full
-/// re-hash.
-///
-/// The returned [`StepUndo`] token reverts the step (after which `base_fp`
-/// is the machine's digest again), so callers can walk edges without cloning.
-///
-/// # Errors
-///
-/// Exactly those of [`Machine::step_undoable`]; the machine is unchanged on
-/// error.
-pub fn zobrist_step<Proc: Process>(
-    machine: &mut Machine<Proc>,
-    pid: usize,
-    base_fp: u128,
-    symmetric: bool,
-) -> Result<(u128, StepUndo<Proc>), SimError> {
-    let mut fp = base_fp.wrapping_sub(comp_proc(machine, pid, symmetric));
-    let touched_locs = match machine.action(pid) {
-        Action::Invoke(op) => op.touches(),
-        Action::Decide(_) => Vec::new(),
-    };
-    let old_len = machine.memory().len();
-    let old_touched = machine.memory().touched();
-    for &loc in &touched_locs {
-        if let Some(cell) = machine.memory().cell(loc) {
-            fp = fp.wrapping_sub(comp_cell(loc, cell));
-        }
-    }
-    let (_, undo) = machine.step_undoable(pid)?;
-    fp = fp.wrapping_add(comp_proc(machine, pid, symmetric));
-    for &loc in &touched_locs {
-        if loc < old_len {
-            let cell = machine.memory().cell(loc).expect("touched loc exists");
-            fp = fp.wrapping_add(comp_cell(loc, cell));
-        }
-    }
-    // Cells the step grew into (unbounded memories) are pure additions.
-    for loc in old_len..machine.memory().len() {
-        let cell = machine.memory().cell(loc).expect("grown loc exists");
-        fp = fp.wrapping_add(comp_cell(loc, cell));
-    }
-    let new_touched = machine.memory().touched();
-    if new_touched != old_touched {
-        fp = fp
-            .wrapping_sub(comp_touched(old_touched))
-            .wrapping_add(comp_touched(new_touched));
-    }
-    Ok((fp, undo))
-}
 
 /// Walks the schedule back through the parent links.
 pub(crate) fn schedule_of(links: &[Link], mut link: usize) -> Vec<usize> {
@@ -422,7 +307,7 @@ impl Defect {
 
 /// Validity/agreement check on a collected decision vector, mirroring the
 /// paper's order: all decisions validated against the inputs first, then
-/// pairwise agreement. Shared by every engine (packed, legacy, reference,
+/// pairwise agreement. Shared by every engine (packed, reference,
 /// distributed), so violation selection cannot drift between the backends
 /// the conformance oracle diffs.
 pub(crate) fn decision_defect(decisions: &[u64], inputs: &[u64]) -> Option<Defect> {
@@ -736,42 +621,6 @@ impl Explorer {
             }
             Err(e) => Err(packed_engine::snapshot_sim_err(&e)),
         }
-    }
-}
-
-/// Crash-safe single-threaded exploration: [`Explorer::explore_resumable`]
-/// without the `Send + Sync` bounds on the process type — resumes from a
-/// valid snapshot at `path` if one exists, starts fresh (checkpointing to
-/// `path`) otherwise.
-///
-/// # Errors
-///
-/// As [`Explorer::explore_resumable`].
-pub fn explore_resumable<P: Protocol>(
-    protocol: &P,
-    inputs: &[u64],
-    limits: ExploreLimits,
-    path: &Path,
-) -> Result<(ExploreOutcome, ExploreStats), SimError> {
-    let ckpt = CheckpointCfg {
-        path: path.to_path_buf(),
-        every: limits.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY).max(1),
-        retain: false,
-        protocol: protocol.name(),
-    };
-    match Snapshot::read(path) {
-        Ok(snapshot) => packed_engine::explore_packed_seq_ckpt(
-            protocol,
-            inputs,
-            limits,
-            false,
-            Some(ckpt),
-            Some(&snapshot),
-        ),
-        Err(SnapshotError::Io { kind: std::io::ErrorKind::NotFound, .. }) => {
-            packed_engine::explore_packed_seq_ckpt(protocol, inputs, limits, false, Some(ckpt), None)
-        }
-        Err(e) => Err(packed_engine::snapshot_sim_err(&e)),
     }
 }
 

@@ -792,23 +792,6 @@ where
             }
         }
     }
-
-    /// Pops up to `cap` items, preserving order (layer-block materialisation
-    /// for the barrier engine's parallel expansion).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SpillError`] from the underlying pops.
-    pub fn pop_block(&mut self, cap: usize) -> Result<Vec<C::Item>, SpillError> {
-        let mut block = Vec::new();
-        while block.len() < cap {
-            match self.pop()? {
-                Some(item) => block.push(item),
-                None => break,
-            }
-        }
-        Ok(block)
-    }
 }
 
 impl<C: SpillCodec> Drop for FrontierStore<C> {

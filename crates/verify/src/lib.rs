@@ -23,10 +23,6 @@
 //!   [`checker::ExploreLimits::memory_budget`] into a self-deleting
 //!   temp-file arena and stream back in admission order, shared by every
 //!   engine;
-//! - [`legacy`] — the previous barrier-synchronised machine-walking
-//!   frontier engine, preserved as the measured baseline of the packed
-//!   engine's speedups and as a third independent implementation of the
-//!   exploration semantics;
 //! - [`packing`] — Lemma 7.1's `k`-packing repair algorithm (the Eulerian
 //!   multigraph argument) as a standalone combinatorial routine, plus
 //!   `k`-packing construction and the fully-packed-location computation used
@@ -58,7 +54,6 @@ pub mod covering;
 pub mod dist;
 pub mod fpset;
 pub mod frontier;
-pub mod legacy;
 pub mod packed_engine;
 pub mod packing;
 pub mod reference;

@@ -2,11 +2,12 @@
 //!
 //! [`reference_explore`] is a deliberately naive breadth-first search over
 //! the configuration graph. Where [`crate::checker::explore`] memoises
-//! 128-bit *incremental Zobrist* digests and walks edges with step/undo,
-//! this oracle clones whole machines, keys its seen-set on
-//! [`Machine::fingerprint`] (a different, non-incremental hash
-//! construction), and keeps every visited configuration alive so fingerprint
-//! collisions can be *detected* instead of silently merging states.
+//! 128-bit *incremental Zobrist* digests of packed states and previews each
+//! edge's digest before materialising a successor, this oracle clones whole
+//! machines, keys its seen-set on [`Machine::fingerprint`] (a different,
+//! non-incremental hash construction), and keeps every visited
+//! configuration alive so fingerprint collisions can be *detected* instead
+//! of silently merging states.
 //!
 //! The two engines share no hashing or traversal code, yet must produce
 //! **bit-identical** outcomes — verdict, counterexample schedule,

@@ -58,6 +58,7 @@
 
 use crate::checker::ExploreLimits;
 use cbh_model::packed::delta::{read_varint, write_varint, DeltaError};
+use cbh_model::packed::frame::crc32;
 use cbh_model::Protocol;
 use std::fmt;
 use std::fs;
@@ -174,34 +175,6 @@ fn malformed(detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed {
         detail: detail.into(),
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), table generated at compile time — no dependencies
-// ---------------------------------------------------------------------------
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -537,8 +510,10 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`SnapshotError::Io`] with kind `NotFound` when there is no snapshot
-    /// yet (the "start fresh" signal for `explore_resumable`), and the full
-    /// typed decode-error surface for anything present but unusable.
+    /// yet (the "start fresh" signal for
+    /// [`Explorer::explore_resumable`](crate::checker::Explorer::explore_resumable)),
+    /// and the full typed decode-error surface for anything present but
+    /// unusable.
     pub fn read(path: &Path) -> Result<Snapshot, SnapshotError> {
         let bytes = fs::read(path).map_err(io_err("read"))?;
         Snapshot::from_bytes(&bytes)

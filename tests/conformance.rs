@@ -37,7 +37,6 @@
 //!
 //! Every run is a pure function of these.
 
-use proptest::prelude::*;
 use space_hierarchy::conformance::{
     faulty::fault_diverges,
     run_suite,
@@ -45,14 +44,10 @@ use space_hierarchy::conformance::{
     ConformanceConfig, Scenario, ScenarioGen,
 };
 use space_hierarchy::model::{Protocol, Schedule};
-use space_hierarchy::protocols::maxreg::MaxRegConsensus;
 use space_hierarchy::protocols::registry::{self, RowSpec, RowVisitor};
-use space_hierarchy::protocols::swap::SwapConsensus;
-use space_hierarchy::sim::{replay_schedule, Machine, StepUndo};
+use space_hierarchy::sim::replay_schedule;
 use space_hierarchy::sync::run_threaded_traced;
-use space_hierarchy::verify::checker::{
-    explore, zobrist_fingerprint, zobrist_step, ExploreLimits, ExploreOutcome,
-};
+use space_hierarchy::verify::checker::{explore, ExploreLimits, ExploreOutcome};
 use space_hierarchy::verify::strawmen::{OneMaxRegister, OneRegister};
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -371,72 +366,6 @@ fn counterexample_schedules_roundtrip_through_scripted_replay() {
     counterexample_roundtrips(&OneRegister::new(2), &[0, 1]);
     counterexample_roundtrips(&OneRegister::new(3), &[0, 1, 1]);
     counterexample_roundtrips(&OneRegister::new(3), &[1, 0, 0]);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: incremental Zobrist fingerprints vs full re-hash
-// ---------------------------------------------------------------------------
-
-/// Random step/undo walk: after every command, the incrementally maintained
-/// digest must equal a from-scratch re-hash; after full unwind, the machine
-/// is the exact initial configuration again.
-fn zobrist_walk<P: Protocol>(
-    protocol: &P,
-    inputs: &[u64],
-    script: &[usize],
-    symmetric: bool,
-) -> Result<(), TestCaseError> {
-    let mut machine = Machine::start(protocol, inputs).unwrap();
-    let mut fp = zobrist_fingerprint(&machine, symmetric);
-    let mut stack: Vec<(u128, StepUndo<P::Proc>)> = Vec::new();
-    for &cmd in script {
-        if cmd % 4 == 0 {
-            if let Some((prev, token)) = stack.pop() {
-                machine.undo_step(token);
-                fp = prev;
-            }
-        } else {
-            let pid = cmd % protocol.n();
-            if machine.decision(pid).is_none() {
-                let (next_fp, token) = zobrist_step(&mut machine, pid, fp, symmetric)
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                stack.push((fp, token));
-                fp = next_fp;
-            }
-        }
-        // Incremental digest must never drift from the full re-hash.
-        prop_assert_eq!(fp, zobrist_fingerprint(&machine, symmetric));
-    }
-    while let Some((prev, token)) = stack.pop() {
-        machine.undo_step(token);
-        fp = prev;
-    }
-    prop_assert_eq!(fp, zobrist_fingerprint(&machine, symmetric));
-    let fresh = Machine::start(protocol, inputs).unwrap();
-    prop_assert_eq!(machine.fingerprint(), fresh.fingerprint());
-    prop_assert_eq!(machine.fingerprint_symmetric(), fresh.fingerprint_symmetric());
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn zobrist_incremental_matches_full_rehash_maxreg(
-        script in proptest::collection::vec(0usize..16, 0..60),
-    ) {
-        // Both digest modes, on a pid-aware-free protocol with rounds.
-        zobrist_walk(&MaxRegConsensus::new(3), &[0, 1, 2], &script, false)?;
-        zobrist_walk(&MaxRegConsensus::new(3), &[0, 1, 2], &script, true)?;
-    }
-
-    #[test]
-    fn zobrist_incremental_matches_full_rehash_swap(
-        script in proptest::collection::vec(0usize..16, 0..60),
-    ) {
-        zobrist_walk(&SwapConsensus::new(3), &[2, 0, 1], &script, false)?;
-        zobrist_walk(&SwapConsensus::new(3), &[2, 0, 1], &script, true)?;
-    }
 }
 
 // ---------------------------------------------------------------------------

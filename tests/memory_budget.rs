@@ -3,15 +3,14 @@
 //! The spillable frontier's contract is absolute: `(ExploreOutcome,
 //! ExploreStats)` are bit-identical to the unbounded run at any
 //! `memory_budget` and any worker count — the budget may only move bytes
-//! between RAM and the spill arena, never change what is explored. Three
+//! between RAM and the spill arena, never change what is explored. Two
 //! angles on that contract:
 //!
 //! - the two densest Table-1 rows (`tas-reset`, `write01`), re-explored with
 //!   the budget pinned to ~10% of the unbounded run's observed resident
 //!   peak, at 1 and 4 workers;
 //! - every registry row under a **zero** budget — spilling on every layer,
-//!   including the root — at 1, 4 and 8 workers;
-//! - the legacy barrier engine through the same store, budgeted vs not.
+//!   including the root — at 1, 4 and 8 workers.
 //!
 //! `bytes_spilled` must be *nonzero* on every budgeted run (the stress is
 //! real) and zero on every unbounded one (spilling is strictly opt-in).
@@ -29,7 +28,6 @@ use space_hierarchy::protocols::registry::{self, RowSpec, RowVisitor};
 use space_hierarchy::protocols::stress::value_diverse_consensus;
 use space_hierarchy::sim::SimError;
 use space_hierarchy::verify::checker::{ExploreLimits, ExploreOutcome, ExploreStats, Explorer};
-use space_hierarchy::verify::legacy::legacy_explore_stats;
 
 /// Fixed allowance above the budget for floor-sized structures: minimum
 /// hot-table/Bloom allocations, the two in-flight double-buffered spill
@@ -212,38 +210,4 @@ fn value_diverse_interning_trips_the_budget_instead_of_overrunning() {
             other => panic!("expected SimError::Budget, got {other:?}"),
         }
     }
-}
-
-#[test]
-fn legacy_engine_is_budget_invariant_too() {
-    let limits = ExploreLimits {
-        depth: 8,
-        max_configs: 100_000,
-        solo_check_budget: None,
-        memory_budget: None,
-        checkpoint_every: None,
-    };
-    let protocol = tas_reset_consensus(3);
-    let inputs = [0u64, 1, 2];
-    let unbounded = legacy_explore_stats(&protocol, &inputs, limits, 1, false).unwrap();
-    assert_eq!(unbounded.1.bytes_spilled, 0);
-    let cap = (unbounded.1.peak_resident_bytes / 10).max(1);
-    let budgeted = ExploreLimits {
-        memory_budget: Some(cap),
-        ..limits
-    };
-    for workers in [1, 4] {
-        let spilled = legacy_explore_stats(&protocol, &inputs, budgeted, workers, false).unwrap();
-        assert_eq!(spilled, unbounded, "legacy at {workers} workers diverged");
-        assert!(
-            spilled.1.bytes_spilled > 0,
-            "legacy at {workers} workers never spilled"
-        );
-        assert_within_cap("legacy tas-reset", &spilled.1, cap, workers);
-    }
-    // And the budgeted legacy engine still agrees with the budgeted packed
-    // engine — the cross-engine bar the conformance suite holds unbudgeted
-    // runs to extends to spilling ones.
-    let packed = explore_at(&protocol, &inputs, budgeted, 4);
-    assert_eq!(packed, unbounded, "packed vs legacy under budget");
 }

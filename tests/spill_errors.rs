@@ -11,7 +11,6 @@
 use space_hierarchy::protocols::bitwise::tas_reset_consensus;
 use space_hierarchy::sim::SimError;
 use space_hierarchy::verify::checker::{explore_stats, ExploreLimits, Explorer};
-use space_hierarchy::verify::legacy::legacy_explore_stats;
 
 fn assert_spill_error(err: SimError, context: &str) {
     match err {
@@ -63,12 +62,25 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
         .expect_err("parallel run must fail to spill");
     assert_spill_error(err, "parallel packed engine");
 
-    // -- legacy barrier engine ---------------------------------------------
-    for workers in [1, 4] {
-        let err = legacy_explore_stats(&tas_reset_consensus(3), &[0, 1, 2], limits, workers, false)
-            .expect_err("legacy run must fail to spill");
-        assert_spill_error(err, "legacy barrier engine");
+    // -- work-stealing pool -------------------------------------------------
+    // The 8-worker run above fails in its sequential probe, before any pool
+    // thread exists. A checkpointing run skips that probe, so here the
+    // failing arena is hit inside the pool itself: the committer and every
+    // worker must still shut down and hand back the one typed error.
+    let checkpoint = std::env::temp_dir().join(format!(
+        "cbh-spill-errors-{}-pool.ck",
+        std::process::id()
+    ));
+    for workers in [2, 4] {
+        let err = Explorer::new()
+            .workers(workers)
+            .limits(limits)
+            .checkpoint_to(&checkpoint)
+            .explore_stats(&tas_reset_consensus(3), &[0, 1, 2])
+            .expect_err("pool run must fail to spill");
+        assert_spill_error(err, &format!("work-stealing pool at {workers} workers"));
     }
+    let _ = std::fs::remove_file(&checkpoint);
 
     // An unbudgeted run never touches the spill dir, so the same pointing
     // environment must be harmless without a budget.
