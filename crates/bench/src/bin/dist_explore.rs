@@ -1,17 +1,19 @@
 //! `dist_explore`: release-mode multi-process sharded exploration smoke.
 //!
-//! The tier-1 dist matrix shards *in process* (threads over socketpairs,
-//! states shipped by reference into one shared packed context). This smoke
-//! runs the real thing: it re-spawns itself as N shard **processes**, each
+//! The tier-1 dist matrix shards *in process*: threads over socketpairs
+//! sharing one packed context. This smoke runs the real thing: it
+//! re-spawns itself as N shard **processes**, each
 //! with its own address space and packed context, connected to the
 //! coordinator over a Unix-domain listener — so frames genuinely cross
 //! process boundaries and admitted remote candidates are replayed from the
 //! root on the owner's side. The deep-horizon row (`MaxRegConsensus::new(4)`
 //! at depth 26, ≥1.5M configurations) runs at 1, 2 and 4 shards and every
 //! run must be bit-identical — outcome and semantic stats — to the
-//! single-process engine baseline. A second column squeezes every shard to
-//! ~10% of the baseline's peak resident bytes, forcing the spill and
-//! disk-run paths in every child.
+//! single-process engine baseline. An in-process `explore_sharded` column
+//! at 4 shards must match it too, and must move the same frames as the
+//! 4-process run: one wire format in both modes. A last column squeezes
+//! every shard to ~10% of the baseline's peak resident bytes, forcing the
+//! spill and disk-run paths in every child.
 //!
 //! Usage: `dist_explore [--quick] [--budget-frac F]` (parent),
 //! `dist_explore --shard-child ID SHARDS SOCKET [--quick] [--budget B]`
@@ -21,7 +23,7 @@
 
 use cbh_core::maxreg::MaxRegConsensus;
 use cbh_verify::checker::{ExploreLimits, ExploreOutcome, ExploreStats, Explorer};
-use cbh_verify::dist::{accept_shards, coordinate, shard_serve, DistConfig};
+use cbh_verify::dist::{accept_shards, coordinate, explore_sharded, shard_serve, DistConfig};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::{Command, Stdio};
 use std::time::Instant;
@@ -146,6 +148,7 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
+    let mut four_process = None;
     for shards in [1usize, 2, 4] {
         let t = Instant::now();
         let dist = run_distributed(shards, quick, None);
@@ -160,7 +163,37 @@ fn main() {
             dist.1.frame_bytes,
             t.elapsed().as_secs_f64()
         );
+        four_process = Some(dist.1);
     }
+
+    // In-process column: 4 shard threads sharing one packed context must
+    // send exactly the 4 processes' frames. Only the closing K_STATS
+    // residency varints may differ in length: 5 varints × 9 bytes × 4.
+    let procs = four_process.expect("the 4-process run ran");
+    let t = Instant::now();
+    let cfg = DistConfig {
+        shards: 4,
+        workers: SHARD_WORKERS,
+        symmetric: false,
+    };
+    let threads = explore_sharded(&protocol, &inputs, limits, cfg).expect("in-process shards");
+    assert_eq!(threads, baseline, "4-shard in-process run diverged from the engine");
+    assert_eq!(threads.1.frames_exchanged, procs.frames_exchanged, "frame counts differ");
+    assert!(
+        threads.1.frame_bytes.abs_diff(procs.frame_bytes) <= 5 * 9 * 4,
+        "frame bytes differ: {} vs {}",
+        threads.1.frame_bytes,
+        procs.frame_bytes
+    );
+    eprintln!(
+        "4 shard threads: bit-identical ({} frames / {} bytes exchanged; \
+         4 processes: {} / {}) in {:.1}s",
+        threads.1.frames_exchanged,
+        threads.1.frame_bytes,
+        procs.frames_exchanged,
+        procs.frame_bytes,
+        t.elapsed().as_secs_f64()
+    );
 
     if budget_frac > 0.0 {
         // Budget column: every shard capped to a sliver of the baseline's

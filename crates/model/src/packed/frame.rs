@@ -1,16 +1,14 @@
 //! Length-prefixed, CRC-guarded frames: the shard-exchange wire format.
 //!
-//! The distributed explorer ships cross-shard successors between processes
+//! The distributed explorer routes cross-shard candidates between shards
 //! over Unix-domain sockets. This module is the *transport* layer of that
 //! exchange: byte frames with the same header discipline the snapshot
-//! format pins (magic, version, CRC32-per-frame, typed total decoders that
-//! never panic on hostile bytes), plus delta-chained [`PackedState`]
-//! payload helpers built on [`super::delta`] — the first state of a chain
-//! rides flat, every later one as a delta against its predecessor, exactly
-//! the spill-run discipline of `cbh_verify::frontier`.
+//! format pins: magic, version, CRC32-per-frame, and typed total decoders
+//! that never panic on hostile bytes.
 //!
 //! What the frames *mean* (message kinds, round protocol, admission
-//! verdicts) is the consumer's business (`cbh_verify::dist`); this layer
+//! verdicts) is the consumer's business (`cbh_verify::dist`, whose
+//! payloads are varints and fingerprints, never packed states); this layer
 //! only guarantees that a frame either round-trips bit-exactly or fails
 //! with a typed [`FrameError`].
 //!
@@ -30,10 +28,6 @@
 //! the CRC; everything else — version, kind, length, payload — is covered,
 //! so a flipped bit fails typed instead of smuggling in a different frame.
 
-use super::delta::{
-    apply_delta, decode_flat, encode_delta, encode_flat, read_varint, write_varint, DeltaError,
-};
-use super::PackedState;
 use std::fmt;
 use std::io::Read;
 
@@ -83,11 +77,6 @@ pub enum FrameError {
         /// CRC computed over the received bytes.
         found: u32,
     },
-    /// A state record inside a payload failed to decode.
-    State(DeltaError),
-    /// A payload field violated the frame's own framing (a bad chain tag,
-    /// a record length past the payload end, a varint field out of range).
-    Malformed(&'static str),
 }
 
 impl fmt::Display for FrameError {
@@ -106,19 +95,11 @@ impl fmt::Display for FrameError {
             FrameError::CrcMismatch { expected, found } => {
                 write!(f, "frame CRC mismatch: recorded {expected:#010x}, computed {found:#010x}")
             }
-            FrameError::State(e) => write!(f, "frame state record: {e}"),
-            FrameError::Malformed(what) => write!(f, "malformed frame payload: {what}"),
         }
     }
 }
 
 impl std::error::Error for FrameError {}
-
-impl From<DeltaError> for FrameError {
-    fn from(e: DeltaError) -> Self {
-        FrameError::State(e)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE), table generated at compile time — no dependencies
@@ -302,91 +283,6 @@ impl FrameReader {
         let n = r.read(&mut chunk)?;
         self.push(&chunk[..n]);
         Ok(n)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Delta-chained state payloads
-// ---------------------------------------------------------------------------
-
-/// Chain tag: a flat-encoded state (chain head).
-const CHAIN_FLAT: u8 = 0;
-/// Chain tag: a delta against the previous state of the same chain.
-const CHAIN_DELTA: u8 = 1;
-
-/// Writes [`PackedState`] records delta-chained in encode order: the first
-/// state rides flat, every later one as a delta against its predecessor —
-/// the spill-run discipline, applied to a frame payload. One encoder per
-/// frame; chains never cross frame boundaries, so every frame decodes
-/// independently.
-#[derive(Debug, Default)]
-pub struct StateChainEncoder {
-    prev: Option<PackedState>,
-}
-
-impl StateChainEncoder {
-    /// A fresh chain.
-    pub fn new() -> Self {
-        StateChainEncoder::default()
-    }
-
-    /// Appends one length-prefixed chain record for `state` to `out`.
-    pub fn push(&mut self, state: &PackedState, out: &mut Vec<u8>) {
-        let mut record = Vec::new();
-        match &self.prev {
-            Some(prev) if prev.procs.len() == state.procs.len() => {
-                out.push(CHAIN_DELTA);
-                encode_delta(prev, state, &mut record);
-            }
-            _ => {
-                out.push(CHAIN_FLAT);
-                encode_flat(state, &mut record);
-            }
-        }
-        write_varint(out, record.len() as u64);
-        out.extend_from_slice(&record);
-        self.prev = Some(state.clone());
-    }
-}
-
-/// Decodes a [`StateChainEncoder`] record stream.
-#[derive(Debug, Default)]
-pub struct StateChainDecoder {
-    prev: Option<PackedState>,
-}
-
-impl StateChainDecoder {
-    /// A fresh chain.
-    pub fn new() -> Self {
-        StateChainDecoder::default()
-    }
-
-    /// Decodes the chain record at the front of `bytes`, advancing it.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] for a bad tag, a record length past the
-    /// input end, or a delta record with no predecessor;
-    /// [`FrameError::State`] when the state bytes themselves are damaged.
-    pub fn next(&mut self, bytes: &mut &[u8]) -> Result<PackedState, FrameError> {
-        let (&tag, rest) = bytes.split_first().ok_or(FrameError::Truncated)?;
-        *bytes = rest;
-        let len = read_varint(bytes)? as usize;
-        if len > bytes.len() {
-            return Err(FrameError::Malformed("chain record length past payload end"));
-        }
-        let (record, rest) = bytes.split_at(len);
-        *bytes = rest;
-        let state = match (tag, &self.prev) {
-            (CHAIN_FLAT, _) => decode_flat(record)?,
-            (CHAIN_DELTA, Some(prev)) => apply_delta(prev, record)?,
-            (CHAIN_DELTA, None) => {
-                return Err(FrameError::Malformed("delta chain record with no predecessor"))
-            }
-            _ => return Err(FrameError::Malformed("unknown chain record tag")),
-        };
-        self.prev = Some(state.clone());
-        Ok(state)
     }
 }
 

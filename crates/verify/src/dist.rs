@@ -1,5 +1,5 @@
-//! Distributed sharded exploration: fingerprint-partitioned shards with
-//! delta-framed frontier exchange.
+//! Distributed sharded exploration: fingerprint-partitioned shards that
+//! exchange candidates as fingerprint plus provenance.
 //!
 //! # Architecture
 //!
@@ -55,18 +55,18 @@
 //! memory budget. The conformance oracle and `tests/dist_explore.rs`
 //! enforce exactly this.
 //!
-//! # Two modes, one protocol
+//! # Two modes, one wire format
 //!
-//! - [`explore_sharded`] runs shards as threads of one process sharing one
-//!   [`PackedCtx`]; cross-shard candidates ship their [`PackedState`]s
-//!   delta-chained inside the frame ([`cbh_model::StateChainEncoder`] —
-//!   the spill-run discipline applied to the wire).
-//! - [`coordinate`] / [`shard_serve`] run shards as separate processes.
-//!   Intern ids are process-local (see [`cbh_model::packed::delta`]), so
-//!   frames carry fingerprints and provenance only; an owner reconstructs
-//!   an *admitted* remote candidate by replaying its pid path from the
-//!   root through its own intern tables — digests hash content, never ids,
-//!   so the replica's fingerprint provably matches the producer's.
+//! [`explore_sharded`] runs shards as threads sharing one [`PackedCtx`]
+//! (errors reach the caller as exact typed values through a side channel);
+//! [`coordinate`] / [`shard_serve`] run them as separate processes. Both
+//! send the same frames: intern ids are process-local (see
+//! [`cbh_model::packed::delta`]), so a [`K_SUCC`] candidate is only
+//! `(parent index, pid, fingerprint)`. A shard materialises the candidates
+//! it owns while expanding; an owner rebuilds an *admitted* remote one by
+//! replaying its pid path from the root through its own intern tables.
+//! Digests hash content, never ids, so the replica's fingerprint provably
+//! matches the producer's.
 //!
 //! # Budgets
 //!
@@ -89,7 +89,6 @@ use cbh_model::packed::delta::{read_varint, write_varint};
 use cbh_model::packed::frame::frame_len;
 use cbh_model::{
     encode_frame, FrameReader, PackedCache, PackedCtx, PackedState, Process, Protocol,
-    StateChainDecoder, StateChainEncoder,
 };
 use cbh_sim::{Machine, SimError};
 use std::collections::HashMap;
@@ -108,7 +107,8 @@ const K_HELLO: u8 = 1;
 /// Coordinator → shards: start a round; payload `[expand: u8]`.
 const K_ROUND: u8 = 2;
 /// Successor candidates routed to their owner shard via the coordinator;
-/// payload `dest, count, {parent_idx, pid, fp, has_state, [state chain]}*`.
+/// payload `dest, count, {parent_idx, pid, fp}*`. No state rides along:
+/// the owner replays the ones it admits from the root.
 const K_SUCC: u8 = 3;
 /// Shard → coordinator: expansion phase over; payload
 /// `any_active, event_count, events*`.
@@ -127,8 +127,8 @@ const K_STATS: u8 = 8;
 /// error message; the shard exits right after sending.
 const K_ERROR: u8 = 0x7F;
 
-/// Candidates per [`K_SUCC`] frame: bounds frame size (and the delta
-/// chain's error blast radius) while amortising the header + CRC.
+/// Candidates per [`K_SUCC`] frame: bounds frame size while amortising
+/// the header + CRC.
 const SUCC_BATCH: usize = 512;
 
 /// The owner shard of fingerprint `fp` among `shards` shards: the high
@@ -138,7 +138,8 @@ pub fn shard_of(fp: u128, shards: usize) -> usize {
     ((fp >> 64) as u64 % shards as u64) as usize
 }
 
-/// Topology and mode knobs for one distributed run.
+/// Topology knobs for one distributed run. Thread and process shards
+/// take the same config and speak the same wire format.
 #[derive(Debug, Clone, Copy)]
 pub struct DistConfig {
     /// Fingerprint-space partitions (≥ 1); also the process/thread count.
@@ -235,11 +236,6 @@ pub(crate) struct ShardCfg {
     pub(crate) shards: usize,
     /// Expansion worker threads within this shard.
     pub(crate) workers: usize,
-    /// `true` when all shards share one [`PackedCtx`] (thread mode):
-    /// cross-shard candidates carry their packed states delta-chained in
-    /// the frame. `false` across processes: frames carry fingerprint +
-    /// provenance only and owners replay admitted states from the root.
-    pub(crate) ship_states: bool,
     /// Process-symmetry reduction flag (digest mode).
     pub(crate) symmetric: bool,
 }
@@ -252,8 +248,8 @@ struct Cand {
     pid: u64,
     /// The candidate's digest — the routing and dedup key.
     fp: u128,
-    /// The candidate's state, when this side can build it (always in
-    /// ship-states mode; owner-local candidates in replay mode).
+    /// The candidate's state: built at expansion for candidates this
+    /// shard owns, `None` for remote ones (replayed on admission).
     state: Option<PackedState>,
 }
 
@@ -305,11 +301,9 @@ fn expand_chunk<P: Process>(
                     continue;
                 }
                 for Edge { pid, fp } in exp.edges {
-                    let dest = shard_of(fp, cfg.shards);
-                    // Ship mode: every candidate crosses with its state.
-                    // Replay mode: only candidates we will own ourselves
-                    // are materialised; remote ones replay owner-side.
-                    let state = (cfg.ship_states || dest == cfg.shard).then(|| {
+                    // Only candidates this shard owns are materialised;
+                    // remote ones replay owner-side if admitted.
+                    let state = (shard_of(fp, cfg.shards) == cfg.shard).then(|| {
                         ctx.branch_step_cached(cache, &node.state, pid)
                             .expect("previewed edge steps")
                     });
@@ -422,10 +416,10 @@ fn read_frame(reader: &mut FrameReader, sock: &mut UnixStream) -> Option<(u8, Ve
 }
 
 /// Rebuilds an admitted remote candidate's state by replaying its pid
-/// path from the root through this shard's own intern tables (replay
-/// mode). `meta` maps every admitted global index to `(parent global
-/// index, pid)`; the walk is O(depth) packed steps. Digests hash content,
-/// never intern ids, so the replica's fingerprint matches the producer's.
+/// path from the root through this shard's own intern tables. `meta` maps
+/// every admitted global index to `(parent global index, pid)`; the walk
+/// is O(depth) packed steps. Digests hash content, never intern ids, so
+/// the replica's fingerprint matches the producer's.
 fn replay_state<P: Process>(
     ctx: &PackedCtx<P>,
     root: &PackedState,
@@ -568,18 +562,10 @@ fn shard_run<P: Process + Send + Sync>(
                         let mut p = Vec::new();
                         write_varint(&mut p, dest as u64);
                         write_varint(&mut p, batch.len() as u64);
-                        let mut chain = StateChainEncoder::new();
                         for cand in batch {
                             write_varint(&mut p, cand.parent_idx);
                             write_varint(&mut p, cand.pid);
                             p.extend_from_slice(&cand.fp.to_le_bytes());
-                            match (&cand.state, cfg.ship_states) {
-                                (Some(state), true) => {
-                                    p.push(1);
-                                    chain.push(state, &mut p);
-                                }
-                                _ => p.push(0),
-                            }
                         }
                         send_frame(sock, K_SUCC, &p)?;
                     }
@@ -617,21 +603,12 @@ fn shard_run<P: Process + Send + Sync>(
                     return Err(ShardExit::Silent); // misrouted: protocol dead
                 }
                 let count = rv(&mut p)?;
-                let mut chain = StateChainDecoder::new();
                 for _ in 0..count {
-                    let parent_idx = rv(&mut p)?;
-                    let pid = rv(&mut p)?;
-                    let fp = take_fp(&mut p)?;
-                    let state = match take_u8(&mut p)? {
-                        0 => None,
-                        1 => Some(chain.next(&mut p).map_err(|_| ShardExit::Silent)?),
-                        _ => return Err(ShardExit::Silent),
-                    };
                     pending.push(Cand {
-                        parent_idx,
-                        pid,
-                        fp,
-                        state,
+                        parent_idx: rv(&mut p)?,
+                        pid: rv(&mut p)?,
+                        fp: take_fp(&mut p)?,
+                        state: None,
                     });
                 }
             }
@@ -748,7 +725,7 @@ enum Inbound {
 /// argument: a shard's writes complete regardless of what the coordinator
 /// is doing, so a shard busy expanding eventually returns to its read
 /// loop and unblocks any coordinator forward stuck on its socket.
-struct Hub {
+struct Hub<'a> {
     writers: Vec<UnixStream>,
     rx: mpsc::Receiver<(usize, Inbound)>,
     gone: Vec<bool>,
@@ -757,10 +734,12 @@ struct Hub {
     /// Encoded bytes of those frames, headers and CRCs included.
     frame_bytes: u64,
     halted: bool,
+    /// Thread mode's exact shard errors; `None` across processes.
+    side: Option<&'a SideChannel>,
 }
 
-impl Hub {
-    fn new(streams: Vec<UnixStream>) -> std::io::Result<Hub> {
+impl<'a> Hub<'a> {
+    fn new(streams: Vec<UnixStream>, side: Option<&'a SideChannel>) -> std::io::Result<Self> {
         let shards = streams.len();
         let (tx, rx) = mpsc::channel();
         let mut writers = Vec::with_capacity(shards);
@@ -802,6 +781,25 @@ impl Hub {
             frames_exchanged: 0,
             frame_bytes: 0,
             halted: false,
+            side,
+        })
+    }
+
+    /// The exact error a thread-mode shard deposited before exiting, if any.
+    fn fatal(&self) -> Option<SimError> {
+        self.side.and_then(SideChannel::take_fatal)
+    }
+
+    /// A shard died without a [`K_ERROR`] report.
+    fn died(&self, shard: usize) -> SimError {
+        self.fatal()
+            .unwrap_or_else(|| wire_err(format_args!("shard {shard} terminated unexpectedly")))
+    }
+
+    /// A shard reported a fatal failure before exiting.
+    fn reported(&self, payload: &[u8]) -> SimError {
+        self.fatal().unwrap_or_else(|| SimError::Spill {
+            detail: format!("dist shard: {}", String::from_utf8_lossy(payload)),
         })
     }
 
@@ -810,9 +808,12 @@ impl Hub {
         encode_frame(kind, payload, &mut wire);
         self.frames_exchanged += 1;
         self.frame_bytes += wire.len() as u64;
-        self.writers[shard]
-            .write_all(&wire)
-            .map_err(|e| wire_err(format_args!("send to shard {shard}: {e}")))
+        // A shard that failed at once may close its socket before the
+        // first frame reaches it; its deposit then explains the failed send.
+        self.writers[shard].write_all(&wire).map_err(|e| {
+            self.fatal()
+                .unwrap_or_else(|| wire_err(format_args!("send to shard {shard}: {e}")))
+        })
     }
 
     fn broadcast(&mut self, kind: u8, payload: &[u8]) -> Result<(), SimError> {
@@ -859,24 +860,10 @@ impl Hub {
 /// A halt reaches the shards on **every** exit path — normal, error or
 /// unwinding — or thread-mode shards would block forever on a socket the
 /// reader threads keep open, deadlocking the caller's `thread::scope`.
-impl Drop for Hub {
+impl Drop for Hub<'_> {
     fn drop(&mut self) {
         self.halt_all();
     }
-}
-
-/// A shard died without a [`K_ERROR`] report: prefer the side channel's
-/// exact deposit (thread mode), else a rendered diagnostic.
-fn shard_died(shard: usize, side: Option<&SideChannel>) -> SimError {
-    side.and_then(SideChannel::take_fatal)
-        .unwrap_or_else(|| wire_err(format_args!("shard {shard} terminated unexpectedly")))
-}
-
-/// A shard reported a fatal failure before exiting.
-fn shard_reported(payload: &[u8], side: Option<&SideChannel>) -> SimError {
-    side.and_then(SideChannel::take_fatal).unwrap_or_else(|| SimError::Spill {
-        detail: format!("dist shard: {}", String::from_utf8_lossy(payload)),
-    })
 }
 
 /// Varint field read, coordinator side.
@@ -914,11 +901,7 @@ impl SweepItem {
 
 /// Gathers the expansion phase: forwards [`K_SUCC`] frames to their owner
 /// as they arrive, collects every shard's [`K_DONE`].
-fn gather_round(
-    hub: &mut Hub,
-    shards: usize,
-    side: Option<&SideChannel>,
-) -> Result<(bool, Vec<SweepItem>), SimError> {
+fn gather_round(hub: &mut Hub, shards: usize) -> Result<(bool, Vec<SweepItem>), SimError> {
     let mut any_active = false;
     let mut items = Vec::new();
     let mut done = vec![false; shards];
@@ -927,7 +910,7 @@ fn gather_round(
             return Err(wire_err("every shard reader exited mid-round"));
         };
         match inbound {
-            Inbound::Gone => return Err(shard_died(shard, side)),
+            Inbound::Gone => return Err(hub.died(shard)),
             Inbound::Frame(K_SUCC, payload) => {
                 let mut peek = payload.as_slice();
                 let dest = rv_c(&mut peek)? as usize;
@@ -975,7 +958,7 @@ fn gather_round(
                 }
                 done[shard] = true;
             }
-            Inbound::Frame(K_ERROR, payload) => return Err(shard_reported(&payload, side)),
+            Inbound::Frame(K_ERROR, payload) => return Err(hub.reported(&payload)),
             Inbound::Frame(..) => return Err(wire_err("unexpected frame kind during a round")),
         }
     }
@@ -986,7 +969,6 @@ fn gather_round(
 fn gather_verdicts(
     hub: &mut Hub,
     shards: usize,
-    side: Option<&SideChannel>,
     items: &mut Vec<SweepItem>,
 ) -> Result<(), SimError> {
     let mut got = vec![false; shards];
@@ -995,7 +977,7 @@ fn gather_verdicts(
             return Err(wire_err("every shard reader exited mid-flush"));
         };
         match inbound {
-            Inbound::Gone => return Err(shard_died(shard, side)),
+            Inbound::Gone => return Err(hub.died(shard)),
             Inbound::Frame(K_VERDICTS, payload) => {
                 if got[shard] {
                     return Err(wire_err("shard flushed the same round twice"));
@@ -1028,7 +1010,7 @@ fn gather_verdicts(
                 }
                 got[shard] = true;
             }
-            Inbound::Frame(K_ERROR, payload) => return Err(shard_reported(&payload, side)),
+            Inbound::Frame(K_ERROR, payload) => return Err(hub.reported(&payload)),
             Inbound::Frame(..) => return Err(wire_err("unexpected frame kind during a flush")),
         }
     }
@@ -1096,7 +1078,6 @@ fn coordinate_loop(
     shards: usize,
     limits: &ExploreLimits,
     root_violation: Option<ExploreOutcome>,
-    side: Option<&SideChannel>,
 ) -> Result<(ExploreOutcome, ExploreStats), SimError> {
     let mut configs = 1usize; // the root
     let mut links: Vec<Link> = Vec::new();
@@ -1141,12 +1122,12 @@ fn coordinate_loop(
         frontier_peak = frontier_peak.max(frontier_len);
         let expand = depth_reached < limits.depth;
         hub.broadcast(K_ROUND, &[u8::from(expand)])?;
-        let (any_active, mut items) = gather_round(hub, shards, side)?;
+        let (any_active, mut items) = gather_round(hub, shards)?;
         if !expand && any_active {
             complete = false;
         }
         hub.broadcast(K_FLUSH, &[])?;
-        gather_verdicts(hub, shards, side, &mut items)?;
+        gather_verdicts(hub, shards, &mut items)?;
         items.sort_by_key(SweepItem::key);
         let mut per_shard: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
         let mut round_links: Vec<(u64, u64)> = Vec::new();
@@ -1159,7 +1140,8 @@ fn coordinate_loop(
                     });
                 }
                 SweepItem::Failed { idx, msg } => {
-                    let err = side
+                    let err = hub
+                        .side
                         .and_then(|sc| sc.take(idx))
                         .unwrap_or(SimError::Spill { detail: msg });
                     hub.halt_all();
@@ -1237,8 +1219,9 @@ fn root_stats() -> ExploreStats {
 }
 
 /// Sharded exploration within one process: shard threads partition the
-/// fingerprint space and exchange delta-framed candidates over socketpairs
-/// with a coordinator on the calling thread. Outcomes and semantic stats
+/// fingerprint space and exchange candidates over socketpairs with a
+/// coordinator on the calling thread, in the same frames process shards
+/// use ([`shard_serve`]). Outcomes and semantic stats
 /// are bit-identical to [`crate::checker::explore_stats`] and
 /// [`crate::reference::reference_explore`] at any `shards × workers ×
 /// memory_budget` — see the module docs for the argument.
@@ -1285,13 +1268,13 @@ where
                 shard,
                 shards: cfg.shards,
                 workers: cfg.workers,
-                ship_states: true,
                 symmetric: cfg.symmetric,
             };
             scope.spawn(move || shard_loop(ctx, root, inputs, limits, scfg, sock, Some(side)));
         }
-        let mut hub = Hub::new(coord_ends).map_err(|e| wire_err(format_args!("hub: {e}")))?;
-        coordinate_loop(&mut hub, cfg.shards, &limits, None, Some(&side))
+        let mut hub =
+            Hub::new(coord_ends, Some(&side)).map_err(|e| wire_err(format_args!("hub: {e}")))?;
+        coordinate_loop(&mut hub, cfg.shards, &limits, None)
     })
 }
 
@@ -1324,8 +1307,8 @@ pub fn coordinate<P: Protocol>(
     );
     let machine = Machine::start(protocol, inputs)?;
     let root_violation = decision_violation(&machine, inputs, NO_LINK, &[]);
-    let mut hub = Hub::new(shard_streams).map_err(|e| wire_err(format_args!("hub: {e}")))?;
-    coordinate_loop(&mut hub, cfg.shards, &limits, root_violation, None)
+    let mut hub = Hub::new(shard_streams, None).map_err(|e| wire_err(format_args!("hub: {e}")))?;
+    coordinate_loop(&mut hub, cfg.shards, &limits, root_violation)
 }
 
 /// Shard-process entry point: builds the protocol's packed context,
@@ -1363,7 +1346,6 @@ where
         shard,
         shards: cfg.shards,
         workers: cfg.workers,
-        ship_states: false,
         symmetric: cfg.symmetric,
     };
     shard_loop(&ctx, root, inputs, limits, scfg, sock, None);
@@ -1513,11 +1495,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_mode_matches_reference_without_shipping_states() {
-        // Exercise the multi-process wire discipline (ship_states: false —
-        // owners replay admitted remote candidates from the root) without
-        // spawning processes: each shard thread builds its own packed
-        // context, exactly as a child process would.
+    fn thread_and_process_shards_speak_one_wire() {
+        // Drive the process-shard discipline without spawning processes:
+        // each shard thread builds its own packed context, exactly as a
+        // child process would. The thread mode (one shared context) must
+        // then move the very same frames: one wire format, not two.
         let protocol = MaxRegConsensus::new(2);
         let inputs = [0u64, 1];
         let limits = ExploreLimits {
@@ -1529,14 +1511,14 @@ mod tests {
         };
         let oracle = reference_explore(&protocol, &inputs, limits).unwrap();
         for shards in [1usize, 2, 3] {
-            let mut coord_ends = Vec::new();
-            let mut shard_ends = Vec::new();
-            for _ in 0..shards {
-                let (c, s) = UnixStream::pair().unwrap();
-                coord_ends.push(c);
-                shard_ends.push(s);
-            }
-            let dist = std::thread::scope(|scope| {
+            let (coord_ends, shard_ends): (Vec<_>, Vec<_>) =
+                (0..shards).map(|_| UnixStream::pair().unwrap()).unzip();
+            let cfg = DistConfig {
+                shards,
+                workers: 1,
+                symmetric: false,
+            };
+            let separate = std::thread::scope(|scope| {
                 for (shard, sock) in shard_ends.into_iter().enumerate() {
                     let protocol = &protocol;
                     let inputs = &inputs;
@@ -1548,21 +1530,29 @@ mod tests {
                             shard,
                             shards,
                             workers: 1,
-                            ship_states: false,
                             symmetric: false,
                         };
                         shard_loop(&ctx, root, inputs, limits, scfg, sock, None);
                     });
                 }
-                let cfg = DistConfig {
-                    shards,
-                    workers: 1,
-                    symmetric: false,
-                };
                 coordinate(&protocol, &inputs, limits, cfg, coord_ends)
             })
             .unwrap();
-            assert_eq!(dist, oracle, "replay-mode run diverged at {shards} shards");
+            assert_eq!(separate, oracle, "own contexts diverged at {shards} shards");
+            let shared = explore_sharded(&protocol, &inputs, limits, cfg).unwrap();
+            assert_eq!(shared, oracle, "shared context diverged at {shards} shards");
+            assert_eq!(
+                shared.1.frames_exchanged, separate.1.frames_exchanged,
+                "frame count differs between the modes at {shards} shards"
+            );
+            // Only the closing K_STATS residency varints may differ in
+            // length (shared vs per-shard contexts): 5 × 9 bytes per shard.
+            assert!(
+                shared.1.frame_bytes.abs_diff(separate.1.frame_bytes) <= 45 * shards as u64,
+                "frame bytes differ between the modes at {shards} shards: {} vs {}",
+                shared.1.frame_bytes,
+                separate.1.frame_bytes
+            );
         }
     }
 

@@ -31,7 +31,7 @@
 //!   `k`-covered locations, block writes) computed on live configurations;
 //! - [`dist`] — distributed sharded exploration: partitions the fingerprint
 //!   space across shard workers (in-process threads or separate processes
-//!   over Unix sockets) that exchange delta-framed candidate frontiers
+//!   over Unix sockets) that exchange fingerprint-and-provenance candidates
 //!   through a coordinator replaying the single-process admission order
 //!   exactly, so outcomes stay bit-identical at any shard count;
 //! - [`snapshot`] — crash-safe checkpoint/resume: a versioned, CRC-guarded

@@ -1,15 +1,11 @@
-//! Property tests for the distributed explorer's wire format: the CRC-framed,
-//! delta-chained state frames shards exchange over Unix sockets.
+//! Property tests for the distributed explorer's wire format: the CRC-framed
+//! byte frames shards exchange over Unix sockets.
 //!
-//! Random schedules over **every Table-1 registry row** produce real
-//! `PackedState` chains (exactly what a cross-shard SUCC frame carries), and
-//! for each chain:
-//!
-//! - `StateChainEncoder` → `encode_frame` → `FrameReader` → `StateChainDecoder`
-//!   reproduces every state bit for bit, including both engine digests, no
-//!   matter how the byte stream is fragmented into partial reads;
+//! - a stream of frames with random kinds and payloads, cut into partial
+//!   reads at random points, reassembles through `FrameReader` into exactly
+//!   the frames that were encoded, in order;
 //! - every strict prefix of a frame is "need more bytes" (streaming) or
-//!   [`FrameError::Truncated`] (exact decode) — never a state, never a panic;
+//!   [`FrameError::Truncated`] (exact decode) — never a frame, never a panic;
 //! - flipping any byte of a frame is a typed [`FrameError`] — the magic check
 //!   catches the prelude, the version byte its own flip, and the CRC trailer
 //!   everything else;
@@ -17,12 +13,7 @@
 //!   error, never a panic or a runaway allocation (the payload cap rejects
 //!   absurd lengths before allocating).
 
-use cbh_core::registry::{self, RowSpec, RowVisitor};
-use cbh_model::{
-    decode_frame, decode_frame_exact, encode_frame, FrameError, FrameReader, PackedCtx,
-    PackedState, Protocol, StateChainDecoder, StateChainEncoder,
-};
-use cbh_sim::Machine;
+use cbh_model::{decode_frame, decode_frame_exact, encode_frame, FrameError, FrameReader};
 use proptest::prelude::*;
 
 /// Wire kind used by the tests; the codec treats kinds as opaque.
@@ -51,84 +42,25 @@ fn reassemble(bytes: &[u8], cuts: &[usize]) -> Result<Vec<(u8, Vec<u8>)>, FrameE
     Ok(frames)
 }
 
-struct ChainWalk<'a> {
-    schedule: &'a [usize],
-    cuts: &'a [usize],
-}
-
-impl RowVisitor for ChainWalk<'_> {
-    type Output = ();
-
-    fn visit<P>(&mut self, _spec: &RowSpec, protocol: P)
-    where
-        P: Protocol,
-        P::Proc: Send + Sync,
-    {
-        let n = protocol.n();
-        let inputs: Vec<u64> = (0..n as u64).map(|i| i % protocol.domain()).collect();
-        let machine = Machine::start(&protocol, &inputs).expect("row starts");
-        let ctx: PackedCtx<P::Proc> = machine.packed_ctx();
-        let mut state = machine.pack(&ctx);
-        let mut states = vec![state.clone()];
-        for &raw in self.schedule {
-            let pid = raw % n;
-            if ctx.is_active(&state, pid) {
-                ctx.step(&mut state, pid).expect("active pid steps");
-                states.push(state.clone());
-            }
-        }
-        // Two frames from one logical stream: chains never cross a frame
-        // boundary, so each frame restarts with a flat head and decodes
-        // independently of the other's arrival.
-        let split = states.len() / 2;
-        let mut wire = Vec::new();
-        for group in [&states[..split], &states[split..]] {
-            if group.is_empty() {
-                continue;
-            }
-            let mut payload = Vec::new();
-            let mut chain = StateChainEncoder::new();
-            for state in group {
-                chain.push(state, &mut payload);
-            }
-            encode_frame(KIND, &payload, &mut wire);
-        }
-        let frames = reassemble(&wire, self.cuts).expect("honest stream decodes");
-        let mut decoded: Vec<PackedState> = Vec::new();
-        for (kind, payload) in &frames {
-            assert_eq!(*kind, KIND);
-            let mut chain = StateChainDecoder::new();
-            let mut rest = payload.as_slice();
-            while !rest.is_empty() {
-                decoded.push(chain.next(&mut rest).expect("honest chain record"));
-            }
-        }
-        assert_eq!(decoded.len(), states.len(), "every state crossed the wire");
-        for (original, wired) in states.iter().zip(&decoded) {
-            assert_eq!(original, wired, "field mismatch");
-            for symmetric in [false, true] {
-                assert_eq!(
-                    ctx.digest(original, symmetric),
-                    ctx.digest(wired, symmetric),
-                    "digest mismatch (symmetric={symmetric})"
-                );
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn framed_state_chains_roundtrip_on_every_row(
-        schedule in proptest::collection::vec(0usize..3, 1..24),
+    fn fragmented_frame_streams_reassemble_exactly(
+        frames in proptest::collection::vec(
+            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..600)),
+            1..6,
+        ),
         cuts in proptest::collection::vec(0usize..4096, 0..12),
     ) {
-        for row in registry::all_rows() {
-            registry::visit_row(row.id, 3, &mut ChainWalk { schedule: &schedule, cuts: &cuts })
-                .expect("registered row");
+        let mut wire = Vec::new();
+        for (kind, payload) in &frames {
+            encode_frame(*kind, payload, &mut wire);
         }
+        // However the socket fragments the stream, every frame comes out
+        // whole, bit for bit and in send order.
+        let decoded = reassemble(&wire, &cuts).expect("honest stream decodes");
+        prop_assert_eq!(decoded, frames);
     }
 
     #[test]
@@ -195,26 +127,6 @@ proptest! {
                     // the error being typed, not a panic.
                     Err(_) => break 'outer,
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn garbage_chain_records_never_panic_the_decoder(
-        bytes in proptest::collection::vec(any::<u8>(), 0..192),
-    ) {
-        let mut chain = StateChainDecoder::new();
-        let mut rest = bytes.as_slice();
-        while !rest.is_empty() {
-            let before = rest.len();
-            match chain.next(&mut rest) {
-                Ok(_) => {
-                    // Progress or stop: a decoded record must consume bytes.
-                    if rest.len() == before {
-                        break;
-                    }
-                }
-                Err(_) => break,
             }
         }
     }

@@ -11,12 +11,15 @@
 use space_hierarchy::protocols::bitwise::tas_reset_consensus;
 use space_hierarchy::sim::SimError;
 use space_hierarchy::verify::checker::{explore_stats, ExploreLimits, Explorer};
+use space_hierarchy::verify::dist::{explore_sharded, DistConfig};
 
+/// The exact typed value, not a rendering: sharded runs render a shard's
+/// error as "dist shard: ..." only when it crossed a process boundary.
 fn assert_spill_error(err: SimError, context: &str) {
     match err {
         SimError::Spill { detail } => {
             assert!(
-                detail.contains("create spill arena"),
+                detail.contains("create spill arena") && !detail.starts_with("dist shard:"),
                 "{context}: unexpected spill detail {detail:?}"
             );
         }
@@ -81,6 +84,21 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
         assert_spill_error(err, &format!("work-stealing pool at {workers} workers"));
     }
     let _ = std::fs::remove_file(&checkpoint);
+
+    // -- in-process shards ----------------------------------------------------
+    // Each shard thread owns its own arenas and reports the failure through
+    // the side channel, whether it fails before or after the coordinator's
+    // first frame reaches it; the coordinator must not wait on it forever.
+    for shards in [1, 2, 3] {
+        let cfg = DistConfig {
+            shards,
+            workers: 2,
+            symmetric: false,
+        };
+        let err = explore_sharded(&tas_reset_consensus(3), &[0, 1, 2], limits, cfg)
+            .expect_err("sharded run must fail to spill");
+        assert_spill_error(err, &format!("explore_sharded at {shards} shards"));
+    }
 
     // An unbudgeted run never touches the spill dir, so the same pointing
     // environment must be harmless without a budget.
