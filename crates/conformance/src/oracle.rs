@@ -7,8 +7,8 @@
 //! | comparison | backends | must match |
 //! |---|---|---|
 //! | engine vs oracle | packed frontier `explore` vs clone-based reference BFS | outcome **and** stats, bit for bit |
-//! | worker fan-out | `Explorer` with 1 vs [`ConformanceConfig::explorer_workers`] workers (CI sweeps 1/4/8) | outcome and stats, bit for bit |
-//! | shard fan-out | sequential engine vs [`cbh_verify::dist::explore_sharded`] at [`ConformanceConfig::shards`] and double (CI pins `CONFORMANCE_SHARDS=2`) | outcome and semantic stats, bit for bit |
+//! | worker fan-out | `Explorer` with 1 vs [`ConformanceConfig::explorer_workers`] workers (the CI matrix sweeps 1/4/8) | outcome and stats, bit for bit |
+//! | shard fan-out | sequential engine vs [`cbh_verify::dist::explore_sharded`] at [`ConformanceConfig::shards`] and double (the CI matrix's sharded column runs 2 and 4) | outcome and semantic stats, bit for bit |
 //! | symmetry quotient | reduced 1 vs fan-out workers; reduced vs plain | reduced runs identical; verdict equal; reduced configs ≤ plain |
 //! | property checks | scripted replay, round-robin, seeded random, bounded threads | agreement + validity; `locations_touched` ≤ the row's exact Table 1 bound |
 //! | trace replay | capture-enabled threads vs the model replaying the captured linearization ([`crate::trace`]) | lockstep report equality (decisions, `steps`, locations), wire round-trip identity |
@@ -18,7 +18,8 @@
 //! witness are delta-debugged ([`crate::shrink`]) to a 1-minimal
 //! [`Schedule`] reproducer that replays through
 //! [`cbh_sim::ScriptedScheduler`]. The whole suite is a pure function of
-//! [`ConformanceConfig`].
+//! [`ConformanceConfig`]; CI's columns are the labelled configs of
+//! `ci_matrix` in `tests/conformance.rs`.
 
 use crate::scenario::{derive_inputs, derive_schedule, Scenario, ScenarioGen};
 use crate::shrink::{replay_violates, shrink_schedule, shrink_violation};
@@ -61,8 +62,8 @@ pub struct ConformanceConfig {
     /// Run the OS-thread backend (`true` everywhere except speed-sensitive
     /// inner loops of the harness's own tests).
     pub threaded: bool,
-    /// Run the capture-enabled thread backend (`CONFORMANCE_TRACE=1` in
-    /// CI's trace column): every scenario additionally runs on real threads
+    /// Run the capture-enabled thread backend (on in the CI matrix's trace
+    /// column): every scenario additionally runs on real threads
     /// with the compact event log on, and the captured linearization is
     /// replayed through the deterministic model, which must agree with the
     /// physical run bit for bit — decisions, `steps`,
@@ -70,28 +71,27 @@ pub struct ConformanceConfig {
     /// ddmin-shrunk to replayable schedules ([`crate::trace`]).
     pub trace: bool,
     /// Worker count for the fan-out explorer backend diffed against the
-    /// sequential engine (CI sweeps a `{1, 4, 8}` matrix via
-    /// `CONFORMANCE_WORKERS`).
+    /// sequential engine (the CI matrix sweeps `{1, 4, 8}`).
     pub explorer_workers: usize,
     /// Run the symmetry-reduced explorer backends on anonymous rows (the
     /// other axis of CI's worker/symmetry matrix).
     pub symmetry: bool,
     /// Frontier memory budget (bytes) for the exhaustive backends
     /// ([`ExploreLimits::memory_budget`]). `None` (the default) never
-    /// spills; CI's tiny-budget columns pin `CONFORMANCE_MEM_BUDGET` low
-    /// enough that every scenario exercises the spill paths — and the oracle
-    /// still demands bit-identical outcomes and semantic stats against the
+    /// spills; the CI matrix's tiny-budget columns pin it low enough that
+    /// every scenario exercises the spill paths — and the oracle still
+    /// demands bit-identical outcomes and semantic stats against the
     /// never-spilling reference BFS.
     pub memory_budget: Option<usize>,
-    /// Run the checkpoint/resume backend (`CONFORMANCE_RESUME=1` in CI's
-    /// resume column): every scenario re-runs with periodic retained
+    /// Run the checkpoint/resume backend (on in the CI matrix's resume
+    /// columns): every scenario re-runs with periodic retained
     /// snapshots, then resumes from **each** snapshot in turn — both the
     /// checkpointed run and every kill-at-this-checkpoint resume must be
     /// bit-identical to the uncheckpointed engine run.
     pub resume: bool,
     /// Base shard count for the distributed backend
     /// ([`cbh_verify::dist::explore_sharded`]). `0` (the default) skips it;
-    /// CI's `CONFORMANCE_SHARDS=2` column diffs every scenario at `shards`
+    /// the CI matrix's sharded column (2) diffs every scenario at `shards`
     /// **and** `2 * shards` against the sequential engine, bit for bit.
     pub shards: usize,
 }
@@ -99,8 +99,8 @@ pub struct ConformanceConfig {
 impl Default for ConformanceConfig {
     fn default() -> Self {
         ConformanceConfig {
-            // PODC 2016 / Ellen — an arbitrary but documented default; CI
-            // pins its own via CONFORMANCE_SEED.
+            // PODC 2016 / Ellen — an arbitrary but documented default,
+            // shared by every column of the CI matrix.
             master_seed: 0x2016_E11E,
             scenarios: 40,
             max_configs: 20_000,
@@ -119,9 +119,9 @@ impl Default for ConformanceConfig {
 /// Stable backend label for a worker count (backend names are part of the
 /// findings' vocabulary, so they stay `'static`).
 ///
-/// The table covers the documented CI matrix (1/4/8) plus the common 2 and
-/// 16; any other count shares the `"explorer-wN"` label, so record the
-/// exact `CONFORMANCE_WORKERS` alongside findings from off-matrix runs.
+/// The table covers the CI matrix's worker counts (1/4/8) plus the common 2
+/// and 16; any other count shares the `"explorer-wN"` label, so record the
+/// exact `explorer_workers` alongside findings from off-matrix runs.
 pub fn worker_backend_name(workers: usize) -> &'static str {
     match workers {
         0 | 1 => "explorer-w1",
@@ -134,7 +134,7 @@ pub fn worker_backend_name(workers: usize) -> &'static str {
 }
 
 /// Stable backend label for a shard count, mirroring
-/// [`worker_backend_name`]. The table covers CI's `CONFORMANCE_SHARDS=2`
+/// [`worker_backend_name`]. The table covers the CI matrix's sharded
 /// column (which runs 2 and 4); off-matrix counts share `"dist-sN"`.
 pub fn shard_backend_name(shards: usize) -> &'static str {
     match shards {

@@ -171,8 +171,8 @@ impl Eq for ExploreStats {}
 /// are:
 ///
 /// - **`max_configs`** bounds memory: 16 bytes of fingerprint per visited
-///   configuration, plus one live `Machine` per *frontier* entry (the
-///   current breadth-first layer only, not the whole history). The default
+///   configuration, plus one packed state per *frontier* entry (admitted
+///   but not yet expanded, not the whole history). The default
 ///   of one million configurations is a few hundred megabytes in the worst
 ///   frontier-heavy case and explores in seconds.
 /// - **`depth`** bounds the schedule length. Terminating protocols stop
@@ -376,7 +376,7 @@ pub fn explore_stats<P: Protocol>(
     inputs: &[u64],
     limits: ExploreLimits,
 ) -> Result<(ExploreOutcome, ExploreStats), SimError> {
-    packed_engine::explore_packed_seq(protocol, inputs, limits, false)
+    packed_engine::explore_packed_seq(protocol, inputs, limits, false, None, None)
 }
 
 /// Configurable frontier exploration: worker-thread fan-out and optional
@@ -443,9 +443,10 @@ impl Explorer {
         self
     }
 
-    /// Number of worker threads expanding each frontier layer. `1` (the
-    /// default) stays on the calling thread; the outcome is the same either
-    /// way.
+    /// Number of pool threads previewing frontier entries (the pool is not
+    /// layer-synchronous). `1` (the default) stays on the calling thread,
+    /// as does any space of at most 1024 configurations whatever the count;
+    /// the outcome is the same either way.
     ///
     /// # Panics
     ///
@@ -534,7 +535,7 @@ impl Explorer {
     where
         P::Proc: Send + Sync,
     {
-        packed_engine::explore_packed_par_ckpt(
+        packed_engine::explore_packed_par(
             protocol,
             inputs,
             self.limits,
@@ -566,7 +567,7 @@ impl Explorer {
     where
         P::Proc: Send + Sync,
     {
-        packed_engine::explore_packed_par_ckpt(
+        packed_engine::explore_packed_par(
             protocol,
             inputs,
             self.limits,

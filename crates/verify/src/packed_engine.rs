@@ -1160,19 +1160,10 @@ where
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Sequential packed exploration (no thread bounds on the process type).
+/// Sequential packed exploration (no thread bounds on the process type),
+/// with optional periodic checkpoints and an optional snapshot to resume
+/// from.
 pub(crate) fn explore_packed_seq<P: Protocol>(
-    protocol: &P,
-    inputs: &[u64],
-    limits: ExploreLimits,
-    symmetric: bool,
-) -> Result<(ExploreOutcome, ExploreStats), SimError> {
-    explore_packed_seq_ckpt(protocol, inputs, limits, symmetric, None, None)
-}
-
-/// [`explore_packed_seq`] with optional periodic checkpoints and an optional
-/// snapshot to resume from.
-pub(crate) fn explore_packed_seq_ckpt<P: Protocol>(
     protocol: &P,
     inputs: &[u64],
     limits: ExploreLimits,
@@ -1217,27 +1208,10 @@ pub(crate) fn explore_packed_seq_ckpt<P: Protocol>(
     )
 }
 
-/// Parallel packed exploration with a persistent work-stealing pool.
-/// (The checkpoint-aware variant below is the production entry; this
-/// shorthand serves the conformance tests' worker sweeps.)
-#[cfg(test)]
-pub(crate) fn explore_packed_par<P: Protocol>(
-    protocol: &P,
-    inputs: &[u64],
-    limits: ExploreLimits,
-    symmetric: bool,
-    workers: usize,
-) -> Result<(ExploreOutcome, ExploreStats), SimError>
-where
-    P::Proc: Send + Sync,
-{
-    explore_packed_par_ckpt(protocol, inputs, limits, symmetric, workers, None, None)
-}
-
-/// [`explore_packed_par`] with optional periodic checkpoints and an optional
-/// snapshot to resume from.
+/// Parallel packed exploration with a persistent work-stealing pool, with
+/// optional periodic checkpoints and an optional snapshot to resume from.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_packed_par_ckpt<P: Protocol>(
+pub(crate) fn explore_packed_par<P: Protocol>(
     protocol: &P,
     inputs: &[u64],
     limits: ExploreLimits,
@@ -1258,7 +1232,7 @@ where
     // construction, so serving small spaces from it is unobservable.
     const MIN_PARALLEL_CONFIGS: usize = 1024;
     if workers <= 1 || limits.max_configs <= MIN_PARALLEL_CONFIGS {
-        return explore_packed_seq_ckpt(protocol, inputs, limits, symmetric, ckpt, resume);
+        return explore_packed_seq(protocol, inputs, limits, symmetric, ckpt, resume);
     }
     // Probe: run sequentially with the cap clamped to the threshold. The
     // cap fires only at `configs == cap + 1`, so a probe that comes back at
@@ -1276,7 +1250,7 @@ where
             max_configs: MIN_PARALLEL_CONFIGS,
             ..limits
         };
-        let probe = explore_packed_seq(protocol, inputs, probe_limits, symmetric)?;
+        let probe = explore_packed_seq(protocol, inputs, probe_limits, symmetric, None, None)?;
         if probe.1.configs <= MIN_PARALLEL_CONFIGS {
             return Ok(probe);
         }
@@ -1374,10 +1348,11 @@ mod tests {
         P::Proc: Send + Sync,
     {
         let oracle = reference_explore(protocol, inputs, limits).unwrap();
-        let seq = explore_packed_seq(protocol, inputs, limits, false).unwrap();
+        let seq = explore_packed_seq(protocol, inputs, limits, false, None, None).unwrap();
         assert_eq!(seq, oracle, "sequential packed engine vs reference");
         for workers in [2, 4, 8] {
-            let par = explore_packed_par(protocol, inputs, limits, false, workers).unwrap();
+            let par =
+                explore_packed_par(protocol, inputs, limits, false, workers, None, None).unwrap();
             assert_eq!(par, oracle, "packed engine at {workers} workers vs reference");
         }
         // A zero memory budget (every push spills, root included) must be
@@ -1387,7 +1362,7 @@ mod tests {
             memory_budget: Some(0),
             ..limits
         };
-        let spill = explore_packed_seq(protocol, inputs, budgeted, false).unwrap();
+        let spill = explore_packed_seq(protocol, inputs, budgeted, false, None, None).unwrap();
         assert_eq!(spill, oracle, "zero-budget packed engine vs reference");
         // Depth-0 runs without solo checks queue nothing, so only runs that
         // dispatch at least the root are required to have spilled.

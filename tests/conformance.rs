@@ -8,40 +8,15 @@
 //! test-only faulty backend proves divergences are *caught* and shrunk to
 //! 1-minimal `ScriptedScheduler` reproducers.
 //!
-//! Budget knobs (plain integers, all optional):
-//! - `CONFORMANCE_SCENARIOS` — scenario count (default 40 = two laps over
-//!   the registry; clamped up to one full lap so the coverage assertions
-//!   below stay meaningful);
-//! - `CONFORMANCE_SEED` — master seed (default from
-//!   `ConformanceConfig::default`);
-//! - `CONFORMANCE_WORKERS` — fan-out worker count diffed against the
-//!   sequential engine (default 4; CI sweeps 1 and 8 too);
-//! - `CONFORMANCE_SYM` — `0` disables the symmetry-reduced backends (the
-//!   other axis of CI's matrix);
-//! - `CONFORMANCE_MEM_BUDGET` — frontier memory budget in bytes for the
-//!   exhaustive backends (unset = unbounded; CI's tiny-budget columns pin it
-//!   to 0 and 4096 so every scenario crosses the spill paths while the
-//!   never-spilling reference BFS still demands bit-identical results);
-//! - `CONFORMANCE_RESUME` — `1` adds the checkpoint/resume backend: every
-//!   scenario is re-run with snapshots retained and resumed from each one,
-//!   diffing against the scenario's exhaustive baseline;
-//! - `CONFORMANCE_SHARDS` — base shard count for the distributed backend
-//!   (default 0 = off; CI's column pins 2): every scenario additionally runs
-//!   `explore_sharded` at this count *and* its double, diffed bit for bit
-//!   against the sequential engine;
-//! - `CONFORMANCE_TRACE` — `1` adds the trace capture & replay backend
-//!   (CI's trace column): every scenario runs on real threads with the
-//!   compact event log enabled, and the captured linearization replayed
-//!   through the deterministic model must reproduce the physical run's
-//!   report bit for bit, with divergences ddmin-shrunk.
-//!
-//! Every run is a pure function of these.
+//! CI runs the oracle over a fixed matrix of backend columns
+//! ([`ci_matrix`]); every run is a pure function of its column's
+//! [`ConformanceConfig`].
 
 use space_hierarchy::conformance::{
     faulty::fault_diverges,
-    run_suite,
+    run_suite, shard_backend_name,
     trace::{trace_decision_divergence, trace_divergence},
-    ConformanceConfig, Scenario, ScenarioGen,
+    worker_backend_name, ConformanceConfig, Scenario, ScenarioGen, SuiteReport,
 };
 use space_hierarchy::model::{Protocol, Schedule};
 use space_hierarchy::protocols::registry::{self, RowSpec, RowVisitor};
@@ -50,51 +25,114 @@ use space_hierarchy::sync::run_threaded_traced;
 use space_hierarchy::verify::checker::{explore, ExploreLimits, ExploreOutcome};
 use space_hierarchy::verify::strawmen::{OneMaxRegister, OneRegister};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn suite_config() -> ConformanceConfig {
-    let defaults = ConformanceConfig::default();
-    ConformanceConfig {
-        master_seed: env_u64("CONFORMANCE_SEED", defaults.master_seed),
-        // Never below one lap over the registry: scenarios are assigned to
-        // rows round-robin, so one lap is what makes the row-coverage and
-        // backend-coverage assertions below hold for any budget.
-        scenarios: (env_u64("CONFORMANCE_SCENARIOS", defaults.scenarios as u64) as usize)
-            .max(registry::all_rows().len()),
-        explorer_workers: env_u64("CONFORMANCE_WORKERS", defaults.explorer_workers as u64)
-            as usize,
-        symmetry: env_u64("CONFORMANCE_SYM", 1) != 0,
-        memory_budget: std::env::var("CONFORMANCE_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok()),
-        resume: env_u64("CONFORMANCE_RESUME", 0) != 0,
-        shards: env_u64("CONFORMANCE_SHARDS", 0) as usize,
-        trace: env_u64("CONFORMANCE_TRACE", 0) != 0,
-        ..defaults
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The suite itself
 // ---------------------------------------------------------------------------
 
-#[test]
-fn differential_suite_is_clean_and_covers_the_table() {
-    let cfg = suite_config();
-    let report = run_suite(&cfg);
+/// CI's conformance matrix: 200 fixed-seed scenarios (ten laps over the
+/// Table-1 registry) per column, each column adding the backends or
+/// budgets named by its label. Run in order by
+/// `ci_matrix_columns_are_clean`.
+fn ci_matrix() -> [(&'static str, ConformanceConfig); 10] {
+    let base = ConformanceConfig {
+        scenarios: 200,
+        ..ConformanceConfig::default()
+    };
+    [
+        ("4 workers, symmetry on", base),
+        // `workers <= 1` routes the fan-out side to the same sequential
+        // engine call, so this column diffs that engine against itself. It
+        // stays because it is `Explorer::new()`'s setting (one worker, no
+        // symmetry reduction) and the matrix keeps every column.
+        (
+            "1 worker, symmetry off",
+            ConformanceConfig {
+                explorer_workers: 1,
+                symmetry: false,
+                ..base
+            },
+        ),
+        (
+            "8 workers, symmetry on",
+            ConformanceConfig {
+                explorer_workers: 8,
+                ..base
+            },
+        ),
+        // Tiny budgets: every scenario crosses the delta-spill paths (0 =
+        // spill on every push; 4096 = runs hover at the threshold, so spills
+        // and stream-backs interleave), while the never-spilling reference
+        // BFS still demands bit-identical results.
+        (
+            "4 workers, zero memory budget",
+            ConformanceConfig {
+                memory_budget: Some(0),
+                ..base
+            },
+        ),
+        (
+            "8 workers, 4 KiB memory budget",
+            ConformanceConfig {
+                explorer_workers: 8,
+                memory_budget: Some(4096),
+                ..base
+            },
+        ),
+        // 8 KiB caps the tiered fingerprint store's hot table at its floor,
+        // so seen-set evictions to sorted disk runs (and Bloom-filtered run
+        // probes on the admit path) fire on every scenario. It is also below
+        // the claim table's old 4 KiB-floor advisory sizing, pinning the
+        // clamp-to-remaining-share fix.
+        (
+            "small-RAM, 8 KiB budget, tiered seen set",
+            ConformanceConfig {
+                memory_budget: Some(8192),
+                ..base
+            },
+        ),
+        // Every scenario re-runs with snapshots retained and is resumed from
+        // each one; the 8 KiB column composes resume with the tiered seen
+        // set rather than only the in-memory fast path.
+        (
+            "checkpoint/resume backend",
+            ConformanceConfig {
+                resume: true,
+                ..base
+            },
+        ),
+        (
+            "checkpoint/resume, 8 KiB budget",
+            ConformanceConfig {
+                resume: true,
+                memory_budget: Some(8192),
+                ..base
+            },
+        ),
+        (
+            "sharded explorer, 2 and 4 shards",
+            ConformanceConfig { shards: 2, ..base },
+        ),
+        (
+            "threaded trace capture & replay",
+            ConformanceConfig {
+                trace: true,
+                ..base
+            },
+        ),
+    ]
+}
+
+/// Asserts one column's report is free of findings, covers the table and ran
+/// every backend its config selects; every failure names `label`.
+fn assert_column_clean(label: &str, cfg: &ConformanceConfig, report: &SuiteReport) {
     assert!(
         report.findings.is_empty(),
-        "conformance divergences:\n{:#?}",
+        "{label}: conformance divergences:\n{:#?}",
         report.findings
     );
     assert!(
         report.rows_covered.len() >= 10,
-        "only {} Table-1 rows covered: {:?}",
+        "{label}: only {} Table-1 rows covered: {:?}",
         report.rows_covered.len(),
         report.rows_covered
     );
@@ -105,6 +143,7 @@ fn differential_suite_is_clean_and_covers_the_table() {
         "round-robin",
         "random-sched",
         "threaded",
+        worker_backend_name(cfg.explorer_workers.max(1)),
     ];
     if cfg.symmetry {
         expected.push("explorer-sym");
@@ -116,23 +155,45 @@ fn differential_suite_is_clean_and_covers_the_table() {
         expected.push("threaded-trace");
     }
     if cfg.shards > 0 {
-        expected.push(space_hierarchy::conformance::shard_backend_name(cfg.shards));
-        expected.push(space_hierarchy::conformance::shard_backend_name(
-            cfg.shards * 2,
-        ));
+        expected.push(shard_backend_name(cfg.shards));
+        expected.push(shard_backend_name(cfg.shards * 2));
     }
-    // The fan-out backend's name tracks the worker matrix axis.
-    expected.push(space_hierarchy::conformance::worker_backend_name(
-        cfg.explorer_workers.max(1),
-    ));
     for backend in expected {
         assert!(
             report.backends.contains(backend),
-            "backend {backend} never ran; ran: {:?}",
+            "{label}: backend {backend} never ran; ran: {:?}",
             report.backends
         );
     }
-    assert!(report.configs_explored > 0);
+    assert!(report.configs_explored > 0, "{label}: nothing explored");
+}
+
+#[test]
+fn differential_suite_is_clean_and_covers_the_table() {
+    let cfg = ConformanceConfig::default();
+    assert_column_clean("defaults", &cfg, &run_suite(&cfg));
+}
+
+/// The CI matrix (minutes in debug builds, so release-only via
+/// `cargo test --release --test conformance -- --include-ignored`).
+#[test]
+#[ignore]
+fn ci_matrix_columns_are_clean() {
+    for (label, cfg) in ci_matrix() {
+        assert_column_clean(label, &cfg, &run_suite(&cfg));
+    }
+}
+
+#[test]
+#[should_panic(expected = "fault-injected column: conformance divergences")]
+fn a_failing_column_is_reported_under_its_label() {
+    let cfg = ConformanceConfig {
+        scenarios: 12,
+        threaded: false,
+        fault_injection: true,
+        ..ConformanceConfig::default()
+    };
+    assert_column_clean("fault-injected column", &cfg, &run_suite(&cfg));
 }
 
 #[test]
