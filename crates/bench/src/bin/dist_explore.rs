@@ -5,8 +5,8 @@
 //! re-spawns itself as N shard **processes**, each
 //! with its own address space and packed context, connected to the
 //! coordinator over a Unix-domain listener — so frames genuinely cross
-//! process boundaries and admitted remote candidates are replayed from the
-//! root on the owner's side. The deep-horizon row (`MaxRegConsensus::new(4)`
+//! process boundaries and admitted remote candidates are replayed on the
+//! owner's side. The deep-horizon row (`MaxRegConsensus::new(4)`
 //! at depth 26, ≥1.5M configurations) runs at 1, 2 and 4 shards and every
 //! run must be bit-identical — outcome and semantic stats — to the
 //! single-process engine baseline. An in-process `explore_sharded` column

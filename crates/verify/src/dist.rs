@@ -14,12 +14,15 @@
 //! ```text
 //!   coordinator                                shard 0 .. shard S-1
 //!       | ROUND{expand}  ------------------------->  |
-//!       |                 expand owned frontier      |
+//!       |                 pop the layer and hold it; |
+//!       |                 preview its edges          |
 //!       | <- SUCC{dest, candidates}  (routed on) ->  |   speculative
 //!       | <- DONE{any_active, events}                |
 //!       | FLUSH  ----------------------------------> |
-//!       |                 sort, dedup, classify      |
+//!       |                 sort, dedup; build only    |
+//!       |                 the fresh; classify        |
 //!       | <- VERDICTS{fresh candidates + defects}    |
+//!       |                 drop the held layer        |
 //!       |        merge sweep (sequential,            |
 //!       |        reference admission order)          |   deterministic
 //!       | COMMIT{indices, links} ------------------> |
@@ -62,11 +65,27 @@
 //! [`coordinate`] / [`shard_serve`] run them as separate processes. Both
 //! send the same frames: intern ids are process-local (see
 //! [`cbh_model::packed::delta`]), so a [`K_SUCC`] candidate is only
-//! `(parent index, pid, fingerprint)`. A shard materialises the candidates
-//! it owns while expanding; an owner rebuilds an *admitted* remote one by
-//! replaying its pid path from the root through its own intern tables.
-//! Digests hash content, never ids, so the replica's fingerprint provably
-//! matches the producer's.
+//! `(parent index, pid, fingerprint)`. Digests hash content, never ids, so
+//! a replica's fingerprint provably matches the producer's.
+//!
+//! # Paying only for admissions
+//!
+//! Expansion previews edge digests and builds no state. A shard builds a
+//! candidate's state at [`K_FLUSH`], and only once its seen set has
+//! admitted the fingerprint:
+//!
+//! - A candidate it produced itself steps its parent, which the shard
+//!   holds (in the popped layer) from [`K_ROUND`] until the verdicts are
+//!   sent.
+//! - A remote candidate is replayed along its pid path. Candidates are
+//!   admitted in `(parent index, pid)` order and BFS indices are monotone
+//!   in ancestry, so consecutive replays share long ancestor prefixes: the
+//!   shard keeps the last replayed chain and steps only below the deepest
+//!   shared ancestor.
+//! - At the horizon with no solo checks to run, an admitted node will
+//!   never be expanded, so the shard settles its activity bit right there
+//!   (as the packed engine does) and reports it in the next [`K_DONE`]
+//!   instead of storing the widest layer for an edge-free round.
 //!
 //! # Budgets
 //!
@@ -76,15 +95,18 @@
 //! (that is the point — sharding multiplies the memory ceiling). The
 //! single-process engines' intern-table budget charging and typed
 //! budget-overrun error are not replicated here: shard interners are
-//! per-process and reported as telemetry only.
+//! per-process and reported as telemetry only. The layer a shard holds
+//! from [`K_ROUND`] to [`K_VERDICTS`] is charged to its tracker meanwhile.
 
 use crate::checker::{
     decision_defect, decision_violation, schedule_of, Defect, ExploreLimits, ExploreOutcome,
     ExploreStats, Link, NO_LINK,
 };
 use crate::fpset::{AdmitSet, SeenBackend};
-use crate::frontier::{FrontierStore, SpillContext, SpillError};
-use crate::packed_engine::{cache_cap_of, expand_node, Edge, Node, NodeCodec, RunCfg};
+use crate::frontier::{FrontierStore, SpillCodec, SpillContext, SpillError};
+use crate::packed_engine::{
+    cache_cap_of, expand_node, Edge, Node, NodeCodec, RunCfg, MIN_PARALLEL_CONFIGS,
+};
 use cbh_model::packed::delta::{read_varint, write_varint};
 use cbh_model::packed::frame::frame_len;
 use cbh_model::{
@@ -108,10 +130,11 @@ const K_HELLO: u8 = 1;
 const K_ROUND: u8 = 2;
 /// Successor candidates routed to their owner shard via the coordinator;
 /// payload `dest, count, {parent_idx, pid, fp}*`. No state rides along:
-/// the owner replays the ones it admits from the root.
+/// the owner replays the ones it admits.
 const K_SUCC: u8 = 3;
 /// Shard → coordinator: expansion phase over; payload
-/// `any_active, event_count, events*`.
+/// `any_active, event_count, events*`. `any_active` also carries the
+/// activity of horizon nodes settled at the previous [`K_FLUSH`].
 const K_DONE: u8 = 4;
 /// Coordinator → shards: all candidates routed; sort, dedup, classify.
 const K_FLUSH: u8 = 5;
@@ -240,7 +263,14 @@ pub(crate) struct ShardCfg {
     pub(crate) symmetric: bool,
 }
 
-/// A successor candidate awaiting its owner's dedup verdict.
+/// [`Cand::slot`] of a candidate whose parent is not in this shard's held
+/// layer: one received from another shard, or one bound for another shard.
+const REMOTE: u32 = u32::MAX;
+
+/// A successor candidate awaiting its owner's dedup verdict. No state rides
+/// along: the owner builds one only for candidates its seen set admits —
+/// stepping the parent held in its layer for local ones, replaying the pid
+/// path along a shared ancestor chain for remote ones.
 struct Cand {
     /// Global index of the expanded parent node.
     parent_idx: u64,
@@ -248,9 +278,9 @@ struct Cand {
     pid: u64,
     /// The candidate's digest — the routing and dedup key.
     fp: u128,
-    /// The candidate's state: built at expansion for candidates this
-    /// shard owns, `None` for remote ones (replayed on admission).
-    state: Option<PackedState>,
+    /// The parent's position in the shard's held layer for candidates this
+    /// shard owns; [`REMOTE`] otherwise.
+    slot: u32,
 }
 
 /// One per-node incident from the expansion phase, reported in DONE.
@@ -269,13 +299,14 @@ struct LayerOut {
     cands: Vec<Cand>,
 }
 
-/// Expands a contiguous chunk of the shard's frontier slice. Per-node
-/// failures become [`RoundEvent`]s rather than aborting the chunk: the
-/// coordinator's sweep cuts at the first event in *global* order, which
-/// this shard cannot know locally.
+/// Expands a contiguous chunk of the shard's held layer, starting at
+/// position `base`. Per-node failures become [`RoundEvent`]s rather than
+/// aborting the chunk: the coordinator's sweep cuts at the first event in
+/// *global* order, which this shard cannot know locally.
 fn expand_chunk<P: Process>(
     ctx: &PackedCtx<P>,
     chunk: &[Node],
+    base: usize,
     run: RunCfg,
     cfg: ShardCfg,
     cache: &mut PackedCache<P>,
@@ -285,7 +316,7 @@ fn expand_chunk<P: Process>(
         events: Vec::new(),
         cands: Vec::new(),
     };
-    for node in chunk {
+    for (slot, node) in (base..).zip(chunk) {
         match expand_node(ctx, node, run, cache) {
             Err(err) => out.events.push(RoundEvent::Failed {
                 idx: node.index as u64,
@@ -301,17 +332,12 @@ fn expand_chunk<P: Process>(
                     continue;
                 }
                 for Edge { pid, fp } in exp.edges {
-                    // Only candidates this shard owns are materialised;
-                    // remote ones replay owner-side if admitted.
-                    let state = (shard_of(fp, cfg.shards) == cfg.shard).then(|| {
-                        ctx.branch_step_cached(cache, &node.state, pid)
-                            .expect("previewed edge steps")
-                    });
+                    let owned = shard_of(fp, cfg.shards) == cfg.shard;
                     out.cands.push(Cand {
                         parent_idx: node.index as u64,
                         pid: pid as u64,
                         fp,
-                        state,
+                        slot: if owned { slot as u32 } else { REMOTE },
                     });
                 }
             }
@@ -323,12 +349,14 @@ fn expand_chunk<P: Process>(
     out
 }
 
-/// Expands the shard's whole slice of the current layer, fanning out over
-/// up to `caches.len()` scoped threads in contiguous chunks (results
-/// concatenate in chunk order; ordering is re-established downstream
-/// anyway — owners sort candidates, the coordinator sorts events). Each
-/// thread borrows one of the shard's long-lived caches, so intern entries
-/// and memoised transitions carry over from layer to layer.
+/// Expands the shard's whole held layer. Layers of at least
+/// [`MIN_PARALLEL_CONFIGS`] nodes fan out over up to `caches.len()` scoped
+/// threads in contiguous chunks (results concatenate in chunk order;
+/// ordering is re-established downstream anyway — owners sort candidates,
+/// the coordinator sorts events); smaller ones expand on the calling
+/// thread, where a spawn would cost more than the work. Each thread
+/// borrows one of the shard's long-lived caches, so intern entries and
+/// memoised transitions carry over from layer to layer.
 fn expand_layer<P: Process + Send + Sync>(
     ctx: &PackedCtx<P>,
     nodes: &[Node],
@@ -336,16 +364,19 @@ fn expand_layer<P: Process + Send + Sync>(
     cfg: ShardCfg,
     caches: &mut [PackedCache<P>],
 ) -> LayerOut {
-    let workers = caches.len().min(nodes.len()).max(1);
-    if workers <= 1 {
-        return expand_chunk(ctx, nodes, run, cfg, &mut caches[0]);
+    let workers = caches.len().min(nodes.len());
+    if workers <= 1 || nodes.len() < MIN_PARALLEL_CONFIGS {
+        return expand_chunk(ctx, nodes, 0, run, cfg, &mut caches[0]);
     }
     let chunk_len = nodes.len().div_ceil(workers);
     let outs: Vec<LayerOut> = std::thread::scope(|scope| {
         let handles: Vec<_> = nodes
             .chunks(chunk_len)
             .zip(caches.iter_mut())
-            .map(|(chunk, cache)| scope.spawn(move || expand_chunk(ctx, chunk, run, cfg, cache)))
+            .enumerate()
+            .map(|(i, (chunk, cache))| {
+                scope.spawn(move || expand_chunk(ctx, chunk, i * chunk_len, run, cfg, cache))
+            })
             .collect();
         handles
             .into_iter()
@@ -415,45 +446,62 @@ fn read_frame(reader: &mut FrameReader, sock: &mut UnixStream) -> Option<(u8, Ve
     }
 }
 
-/// Rebuilds an admitted remote candidate's state by replaying its pid
-/// path from the root through this shard's own intern tables. `meta` maps
-/// every admitted global index to `(parent global index, pid)`; the walk
-/// is O(depth) packed steps. Digests hash content, never intern ids, so
-/// the replica's fingerprint matches the producer's.
+/// Rebuilds an admitted remote candidate's state by replaying its pid path
+/// through this shard's own intern tables. `meta` maps every admitted
+/// global index to `(parent global index, pid)`; `depth` is the parent's
+/// BFS depth.
+///
+/// `path` holds the ancestor chain of the last replay — `path[d]` is the
+/// depth-`d` ancestor's `(global index, state)`, `path[0]` the root — and
+/// is extended in place. Candidates arrive sorted by `(parent_idx, pid)`,
+/// and BFS indices are monotone in ancestry, so consecutive parents share
+/// long ancestor prefixes: the walk up stops at the first ancestor already
+/// on `path`, and only the steps below it are replayed. Digests hash
+/// content, never intern ids, so the replica's fingerprint matches the
+/// producer's.
 fn replay_state<P: Process>(
     ctx: &PackedCtx<P>,
-    root: &PackedState,
     meta: &[(u64, u64)],
+    path: &mut Vec<(u64, PackedState)>,
+    depth: usize,
     parent_idx: u64,
     pid: u64,
     cache: &mut PackedCache<P>,
 ) -> Result<PackedState, ShardExit> {
-    let mut sched = vec![pid as usize];
-    let mut idx = parent_idx;
-    while idx != 0 {
+    // The unreplayed part of the parent's ancestor chain, deepest first.
+    let mut chain = Vec::new();
+    let (mut idx, mut d) = (parent_idx, depth);
+    while d > 0 && path.get(d).is_none_or(|&(on_path, _)| on_path != idx) {
         let Some(&(parent, stepped)) = meta.get(idx as usize) else {
             // A candidate for a parent we were never told about: protocol
             // corruption, not a local failure.
             return Err(ShardExit::Silent);
         };
-        sched.push(stepped as usize);
+        chain.push((idx, stepped));
         idx = parent;
+        d -= 1;
     }
-    sched.reverse();
-    let mut state = root.clone();
-    for pid in sched {
+    if d == 0 && idx != 0 {
+        return Err(ShardExit::Silent); // a chain that misses the root
+    }
+    path.truncate(d + 1);
+    let step = |cache: &mut PackedCache<P>, state: &PackedState, pid: u64| {
         // Every step of this path succeeded on the shard that admitted it,
         // so a failure here is a genuine model error worth reporting.
-        ctx.step_cached(cache, &mut state, pid)
+        ctx.branch_step_cached(cache, state, pid as usize)
             .map_err(|source| {
                 ShardExit::Fatal(SimError::Model {
-                    pid,
+                    pid: pid as usize,
                     step: state.steps(),
                     source,
                 })
-            })?;
+            })
+    };
+    for &(idx, stepped) in chain.iter().rev() {
+        let next = step(cache, &path[path.len() - 1].1, stepped)?;
+        path.push((idx, next));
     }
-    Ok(state)
+    step(cache, &path[path.len() - 1].1, pid)
 }
 
 // ---------------------------------------------------------------------------
@@ -487,8 +535,8 @@ pub(crate) fn shard_loop<P: Process + Send + Sync>(
 
 /// The shard's kind-dispatched protocol loop. Owns the shard's quarter of
 /// the engine state: a budgeted seen backend over its fingerprint slice, a
-/// budgeted frontier store of its owned nodes, the provenance mirror
-/// (`meta`) and the round's pending candidates.
+/// budgeted frontier store of its owned nodes, the layer being expanded,
+/// the provenance mirror (`meta`) and the round's pending candidates.
 #[allow(clippy::too_many_lines)]
 fn shard_run<P: Process + Send + Sync>(
     ctx: &PackedCtx<P>,
@@ -508,7 +556,8 @@ fn shard_run<P: Process + Send + Sync>(
     let mut seen = SeenBackend::new((limits.max_configs / cfg.shards).max(64), &mem);
     let mut frontier = FrontierStore::new(NodeCodec, mem.clone());
     // One cache per expansion thread for the shard's whole lifetime; the
-    // first also serves this loop's own replays and decision checks.
+    // first also serves this loop's own materialisations, replays and
+    // decision checks.
     let mut caches: Vec<PackedCache<P>> = (0..cfg.workers.max(1))
         .map(|_| PackedCache::new())
         .collect();
@@ -516,9 +565,24 @@ fn shard_run<P: Process + Send + Sync>(
     // link list mirrored shard-side, extended by every COMMIT. Index 0 is
     // the root; its entry is never dereferenced.
     let mut meta: Vec<(u64, u64)> = vec![(u64::MAX, 0)];
+    // The last replayed ancestor chain (see `replay_state`).
+    let mut path: Vec<(u64, PackedState)> = vec![(0, root.clone())];
+    // The layer popped by the current round, held (and charged to the
+    // tracker) until its owned candidates are materialised at FLUSH.
+    let mut layer: Vec<Node> = Vec::new();
+    let mut layer_cost = 0usize;
+    // Rounds started so far: round `r` expands depth `r - 1` and admits
+    // depth `r`.
+    let mut round = 0usize;
     let mut pending: Vec<Cand> = Vec::new();
-    // This round's fresh admissions, in verdict order, awaiting indices.
+    // This round's admissions awaiting indices: all of them, and the nodes
+    // of those that will be expanded, in verdict order.
+    let mut admitted = 0usize;
     let mut fresh: Vec<Node> = Vec::new();
+    // Admissions at the horizon with no solo checks to run are never
+    // expanded: only their activity matters, settled at admission (as the
+    // packed engine's `inline_active`) and reported in the next DONE.
+    let mut horizon_active = false;
     let mut reader = FrameReader::new();
 
     let root_fp = ctx.digest_cached(&mut caches[0], &root, cfg.symmetric);
@@ -527,7 +591,7 @@ fn shard_run<P: Process + Send + Sync>(
         debug_assert!(fresh_root, "fresh seen set: the root cannot be pre-admitted");
         frontier.push(Node {
             index: 0,
-            state: root.clone(),
+            state: root,
             fp: root_fp,
             expand: true,
         })?;
@@ -540,12 +604,15 @@ fn shard_run<P: Process + Send + Sync>(
         match kind {
             K_ROUND => {
                 let expand = payload.first().copied().unwrap_or(0) != 0;
-                let mut nodes: Vec<Node> = Vec::new();
+                round += 1;
                 while let Some(mut node) = frontier.pop()? {
                     node.expand = expand;
-                    nodes.push(node);
+                    layer_cost += NodeCodec.cost(&node);
+                    layer.push(node);
                 }
-                let out = expand_layer(ctx, &nodes, run, cfg, &mut caches);
+                assert!(layer.len() < REMOTE as usize, "layer slots fit a u32");
+                mem.tracker().add_resident(layer_cost);
+                let out = expand_layer(ctx, &layer, run, cfg, &mut caches);
                 // Route candidates: owned ones go straight to pending,
                 // remote ones to their owner in batched SUCC frames.
                 let mut by_dest: Vec<Vec<Cand>> = (0..cfg.shards).map(|_| Vec::new()).collect();
@@ -573,7 +640,8 @@ fn shard_run<P: Process + Send + Sync>(
                 // Events: exact values to the side channel, renderings to
                 // the wire.
                 let mut p = Vec::new();
-                p.push(u8::from(out.any_active));
+                p.push(u8::from(out.any_active || horizon_active));
+                horizon_active = false;
                 write_varint(&mut p, out.events.len() as u64);
                 for event in &out.events {
                     match event {
@@ -608,7 +676,7 @@ fn shard_run<P: Process + Send + Sync>(
                         parent_idx: rv(&mut p)?,
                         pid: rv(&mut p)?,
                         fp: take_fp(&mut p)?,
-                        state: None,
+                        slot: REMOTE,
                     });
                 }
             }
@@ -617,21 +685,28 @@ fn shard_run<P: Process + Send + Sync>(
                 // order restricted to this shard's owned fingerprints.
                 pending.sort_unstable_by_key(|c| (c.parent_idx, c.pid));
                 fresh.clear();
+                admitted = 0;
+                let horizon = round == limits.depth && limits.solo_check_budget.is_none();
                 let mut records = Vec::new();
                 for cand in pending.drain(..) {
                     if !seen.admit(cand.fp)? {
                         continue;
                     }
-                    let state = match cand.state {
-                        Some(state) => state,
-                        None => replay_state(
+                    // Materialised only now that dedup said fresh.
+                    let state = if cand.slot == REMOTE {
+                        replay_state(
                             ctx,
-                            &root,
                             &meta,
+                            &mut path,
+                            round - 1,
                             cand.parent_idx,
                             cand.pid,
                             &mut caches[0],
-                        )?,
+                        )?
+                    } else {
+                        let parent = &layer[cand.slot as usize].state;
+                        ctx.branch_step_cached(&mut caches[0], parent, cand.pid as usize)
+                            .expect("previewed edge steps")
                     };
                     debug_assert_eq!(
                         cand.fp,
@@ -656,17 +731,25 @@ fn shard_run<P: Process + Send + Sync>(
                             write_varint(&mut records, b);
                         }
                     }
-                    fresh.push(Node {
-                        index: 0, // assigned by the COMMIT that follows
-                        state,
-                        fp: cand.fp,
-                        expand: true,
-                    });
+                    admitted += 1;
+                    if horizon {
+                        horizon_active |= ctx.has_active(&state);
+                    } else {
+                        fresh.push(Node {
+                            index: 0, // assigned by the COMMIT that follows
+                            state,
+                            fp: cand.fp,
+                            expand: true,
+                        });
+                    }
                 }
                 let mut p = Vec::new();
-                write_varint(&mut p, fresh.len() as u64);
+                write_varint(&mut p, admitted as u64);
                 p.extend_from_slice(&records);
                 send_frame(sock, K_VERDICTS, &p)?;
+                layer.clear();
+                mem.tracker().sub_resident(layer_cost);
+                layer_cost = 0;
             }
             K_COMMIT => {
                 let mut p = payload.as_slice();
@@ -682,7 +765,7 @@ fn shard_run<P: Process + Send + Sync>(
                     return Ok(());
                 }
                 let mine = rv(&mut p)? as usize;
-                if mine != fresh.len() {
+                if mine != admitted {
                     return Err(ShardExit::Silent);
                 }
                 let mut indices = Vec::with_capacity(mine);
@@ -696,6 +779,8 @@ fn shard_run<P: Process + Send + Sync>(
                     let pid = rv(&mut p)?;
                     meta.push((parent, pid));
                 }
+                // Horizon admissions take no frontier slot (`fresh` is then
+                // empty): their indices are only mirrored in `meta`.
                 for (mut node, idx) in fresh.drain(..).zip(indices) {
                     debug_assert!((idx as usize) < meta.len(), "index past the link mirror");
                     node.index = idx as usize;
@@ -1315,7 +1400,7 @@ pub fn coordinate<P: Protocol>(
 /// announces itself with a HELLO frame and serves the round protocol
 /// until a halting COMMIT (or the coordinator vanishes). Frames carry
 /// fingerprints and provenance only — intern ids are local to this
-/// process, so admitted remote candidates are replayed from the root.
+/// process, so admitted remote candidates are replayed through its own tables.
 ///
 /// # Errors
 ///
@@ -1461,18 +1546,88 @@ mod tests {
 
     #[test]
     fn sharded_matches_reference_at_shallow_horizons() {
-        for depth in 0..8 {
-            agree(
-                &MaxRegConsensus::new(3),
-                &[0, 1, 2],
-                ExploreLimits {
+        // Both horizon paths: without solo checks a shard settles the
+        // horizon layer's activity at admission; with them the layer is
+        // held for a solo-probing round. CAS at n = 3 ends at depth 3, so
+        // its horizon layer there is all-terminal and the run complete.
+        for solo_check_budget in [None, Some(64)] {
+            for depth in 0..8 {
+                let limits = ExploreLimits {
                     depth,
                     max_configs: 100_000,
-                    solo_check_budget: None,
+                    solo_check_budget,
                     memory_budget: None,
                     checkpoint_every: None,
-                },
-            );
+                };
+                agree(&MaxRegConsensus::new(3), &[0, 1, 2], limits);
+                agree(&CasConsensus::new(3), &[0, 1, 2], limits);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_path_replay_matches_root_replay_and_fingerprints() {
+        // A breadth-first search in the reference's admission order yields
+        // the provenance mirror every shard holds. Each shard of a 2-shard
+        // run replays its owned nodes in that order, which is
+        // `(parent_idx, pid)` order within and across rounds, through one
+        // shared path; every state must match a from-root replay and its
+        // fingerprint.
+        let protocol = MaxRegConsensus::new(3);
+        let machine = Machine::start(&protocol, &[0, 1, 2]).unwrap();
+        let ctx = machine.packed_ctx();
+        let root = machine.pack(&ctx);
+        let mut cache = PackedCache::new();
+        let mut meta: Vec<(u64, u64)> = vec![(u64::MAX, 0)];
+        let mut nodes = vec![(root.clone(), ctx.digest(&root, false), 0usize)];
+        let mut seen: std::collections::HashSet<u128> = [nodes[0].1].into();
+        let mut next = 0;
+        while next < nodes.len() {
+            let (state, _, depth) = nodes[next].clone();
+            if depth < 10 {
+                for pid in (0..state.n()).filter(|&p| ctx.is_active(&state, p)) {
+                    let child = ctx.branch_step_cached(&mut cache, &state, pid).unwrap();
+                    let fp = ctx.digest(&child, false);
+                    if seen.insert(fp) {
+                        meta.push((next as u64, pid as u64));
+                        nodes.push((child, fp, depth + 1));
+                    }
+                }
+            }
+            next += 1;
+        }
+        assert!(nodes.len() > 500, "too small a space to share paths");
+        for shard in 0..2 {
+            let mut path = vec![(0, root.clone())];
+            let mut replays = 0;
+            for (idx, (_, fp, depth)) in nodes.iter().enumerate().skip(1) {
+                if shard_of(*fp, 2) != shard {
+                    continue;
+                }
+                let (parent, pid) = meta[idx];
+                let shared =
+                    replay_state(&ctx, &meta, &mut path, depth - 1, parent, pid, &mut cache)
+                        .unwrap_or_else(|_| panic!("shared-path replay of node {idx} failed"));
+                let mut sched = Vec::new();
+                let mut at = idx as u64;
+                while at != 0 {
+                    sched.push(meta[at as usize].1 as usize);
+                    at = meta[at as usize].0;
+                }
+                let mut from_root = root.clone();
+                for &pid in sched.iter().rev() {
+                    ctx.step_cached(&mut cache, &mut from_root, pid).unwrap();
+                }
+                let digest = ctx.digest(&shared, false);
+                assert_eq!(
+                    digest,
+                    ctx.digest(&from_root, false),
+                    "node {idx} vs from-root replay"
+                );
+                assert_eq!(digest, *fp, "node {idx} vs its fingerprint");
+                replays += 1;
+            }
+            assert!(replays > 0, "shard {shard} owns no node");
         }
     }
 

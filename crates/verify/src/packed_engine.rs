@@ -136,6 +136,12 @@ pub(crate) fn cache_cap_of(memory_budget: Option<usize>) -> Option<usize> {
     memory_budget.map(|b| (b / 8).max(64 * 1024))
 }
 
+/// Below this many configurations (a run's cap, or a shard's layer) thread
+/// spawns and hand-offs dominate real work, so the engines stay on the
+/// calling thread. Every parallel path is bit-identical to its sequential
+/// one by construction, so the threshold is unobservable in outcomes.
+pub(crate) const MIN_PARALLEL_CONFIGS: usize = 1024;
+
 /// One admitted configuration awaiting expansion.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Node {
@@ -1227,10 +1233,6 @@ where
         snap.check_identity(protocol, inputs, &limits, symmetric)
             .map_err(|e| snapshot_sim_err(&e))?;
     }
-    // Below this many configurations the pool's thread spawns and batch
-    // hand-offs dominate real work; the sequential path is bit-identical by
-    // construction, so serving small spaces from it is unobservable.
-    const MIN_PARALLEL_CONFIGS: usize = 1024;
     if workers <= 1 || limits.max_configs <= MIN_PARALLEL_CONFIGS {
         return explore_packed_seq(protocol, inputs, limits, symmetric, ckpt, resume);
     }

@@ -129,17 +129,56 @@ fn sharded_matrix_is_bit_identical_under_config_caps() {
 
 #[test]
 fn sharded_matrix_is_bit_identical_at_shallow_horizons() {
-    for depth in 0..6 {
-        agree(
-            &MaxRegConsensus::new(3),
-            &[0, 1, 2],
-            ExploreLimits {
+    // Without solo checks a shard settles the horizon layer's activity at
+    // admission; with them the layer waits for a solo-probing round. Both
+    // must report the reference's `complete`: CAS at n = 3 ends at depth 3,
+    // so its depth-3 horizon layer is all-terminal and the run complete.
+    for solo_check_budget in [None, Some(64)] {
+        for depth in 0..6 {
+            let limits = ExploreLimits {
                 depth,
                 max_configs: 100_000,
-                solo_check_budget: None,
+                solo_check_budget,
                 memory_budget: None,
                 checkpoint_every: None,
-            },
-        );
+            };
+            agree(&MaxRegConsensus::new(3), &[0, 1, 2], limits);
+            let cas = agree(&CasConsensus::new(3), &[0, 1, 2], limits);
+            let complete = matches!(cas, ExploreOutcome::Clean { complete: true, .. });
+            assert_eq!(complete, depth >= 3, "depth {depth}: {cas:?}");
+        }
+    }
+}
+
+#[test]
+fn sharded_fan_out_is_bit_identical() {
+    // Shards expand a layer on several threads only once it holds 1,024
+    // nodes. This row's widest layer (2,260 nodes) crosses that threshold
+    // at 1 and 2 shards, so the chunked path and its slot offsets run.
+    let protocol = MaxRegConsensus::new(4);
+    let inputs = [0, 1, 2, 3];
+    let limits = ExploreLimits {
+        depth: 10,
+        max_configs: 100_000,
+        solo_check_budget: None,
+        memory_budget: None,
+        checkpoint_every: None,
+    };
+    let oracle = reference_explore(&protocol, &inputs, limits).unwrap();
+    assert_eq!(oracle.1.configs, 5_524);
+    assert!(oracle.1.frontier_peak >= 2 * 1024, "{:?}", oracle.1);
+    for shards in [1usize, 2, 3] {
+        for workers in [2usize, 3] {
+            let cfg = DistConfig {
+                shards,
+                workers,
+                symmetric: false,
+            };
+            let dist = explore_sharded(&protocol, &inputs, limits, cfg).unwrap();
+            assert_eq!(
+                dist, oracle,
+                "diverged at {shards} shards x {workers} workers"
+            );
+        }
     }
 }
