@@ -196,7 +196,7 @@ where
 /// Capture-overhead telemetry for the real-thread backend: how much the
 /// compact event log perturbs the run it observes. The capture is gated
 /// first — the merged trace must replay through the deterministic model to
-/// the bit-identical [`cbh_model::ConsensusReport`]; an overhead number for
+/// the bit-identical [`cbh_sim::ConsensusReport`]; an overhead number for
 /// an unfaithful capture would be meaningless — then plain and traced runs
 /// are timed in back-to-back pairs with the best of each side, so host load
 /// drift cancels out of the ratio (the same pairing the w1 spill slowdown

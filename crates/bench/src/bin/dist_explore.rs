@@ -1,7 +1,7 @@
 //! `dist_explore`: release-mode multi-process sharded exploration smoke.
 //!
-//! The tier-1 dist matrix shards *in process*: threads over socketpairs
-//! sharing one packed context. This smoke runs the real thing: it
+//! The tier-1 dist matrix shards *in process*: shards sharing one packed
+//! context, driven by direct calls. This smoke runs the real thing: it
 //! re-spawns itself as N shard **processes**, each
 //! with its own address space and packed context, connected to the
 //! coordinator over a Unix-domain listener — so frames genuinely cross
@@ -166,7 +166,7 @@ fn main() {
         four_process = Some(dist.1);
     }
 
-    // In-process column: 4 shard threads sharing one packed context must
+    // In-process column: 4 in-process shards sharing one packed context must
     // send exactly the 4 processes' frames. Only the closing K_STATS
     // residency varints may differ in length: 5 varints × 9 bytes × 4.
     let procs = four_process.expect("the 4-process run ran");
@@ -176,20 +176,20 @@ fn main() {
         workers: SHARD_WORKERS,
         symmetric: false,
     };
-    let threads = explore_sharded(&protocol, &inputs, limits, cfg).expect("in-process shards");
-    assert_eq!(threads, baseline, "4-shard in-process run diverged from the engine");
-    assert_eq!(threads.1.frames_exchanged, procs.frames_exchanged, "frame counts differ");
+    let local = explore_sharded(&protocol, &inputs, limits, cfg).expect("in-process shards");
+    assert_eq!(local, baseline, "4-shard in-process run diverged from the engine");
+    assert_eq!(local.1.frames_exchanged, procs.frames_exchanged, "frame counts differ");
     assert!(
-        threads.1.frame_bytes.abs_diff(procs.frame_bytes) <= 5 * 9 * 4,
+        local.1.frame_bytes.abs_diff(procs.frame_bytes) <= 5 * 9 * 4,
         "frame bytes differ: {} vs {}",
-        threads.1.frame_bytes,
+        local.1.frame_bytes,
         procs.frame_bytes
     );
     eprintln!(
-        "4 shard threads: bit-identical ({} frames / {} bytes exchanged; \
+        "4 in-process shards: bit-identical ({} frames / {} bytes exchanged; \
          4 processes: {} / {}) in {:.1}s",
-        threads.1.frames_exchanged,
-        threads.1.frame_bytes,
+        local.1.frames_exchanged,
+        local.1.frame_bytes,
         procs.frames_exchanged,
         procs.frame_bytes,
         t.elapsed().as_secs_f64()

@@ -1,7 +1,7 @@
 //! Length-prefixed, CRC-guarded frames: the shard-exchange wire format.
 //!
-//! The distributed explorer routes cross-shard candidates between shards
-//! over Unix-domain sockets. This module is the *transport* layer of that
+//! The distributed explorer routes cross-shard candidates between shard
+//! processes over Unix-domain sockets. This module is the *transport* layer of that
 //! exchange: byte frames with the same header discipline the snapshot
 //! format pins: magic, version, CRC32-per-frame, and typed total decoders
 //! that never panic on hostile bytes.
@@ -102,11 +102,15 @@ impl fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), table generated at compile time — no dependencies
+// CRC32 (IEEE), slicing-by-8, tables generated at compile time
 // ---------------------------------------------------------------------------
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the bytewise table of the reflected IEEE
+/// polynomial; `CRC32_TABLES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, so eight table lookups advance the CRC by
+/// eight bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -115,18 +119,42 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the one checksum both this frame format and
 /// the explorer's on-disk snapshot format use.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -289,6 +317,33 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise CRC32 the slicing-by-8 version must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "IEEE check value");
+        let buf: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf), "4 KiB buffer");
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "{len} bytes at offset {offset}");
+            }
+        }
+    }
 
     #[test]
     fn frames_roundtrip() {

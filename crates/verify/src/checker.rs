@@ -106,7 +106,7 @@ impl ExploreOutcome {
 /// worker interleavings. They are deliberately **excluded from
 /// `PartialEq`/`Eq`** — that is what lets a budgeted run compare
 /// bit-identical to an unbounded one while still reporting that it spilled.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExploreStats {
     /// Distinct configurations fingerprinted (including the root, and
     /// including a final over-cap configuration if `max_configs` was hit).

@@ -7,7 +7,7 @@
 //! halves of each 128-bit fingerprint) plus a committed bitmap that
 //! [`ClaimTable::admit`] sets. The engine's workers are pure edge previews
 //! and never touch the table, so it has a **single writer**. It is kept
-//! over the hashed [`crate::fpset::SeenBackend`] set even so: a probe is a
+//! over the hashed `SeenBackend` set even so: a probe is a
 //! masked slot index taken straight from the fingerprint's bits and a
 //! couple of loads, with no rehashing. Budgeted runs admit into the tiered
 //! [`crate::fpset::FpSet`] instead.
@@ -23,7 +23,7 @@
 //! `(lo, hi)` of the resident fingerprint. A slot is **write-once**: `lo`
 //! moves `0 → fp.lo` exactly once (the CAS that claims the slot) and `hi`
 //! moves `0 → fp.hi` exactly once (a release-store by the CAS winner).
-//! Probing is linear from `hi(fp) & mask` for up to [`PROBE_LIMIT`] slots.
+//! Probing is linear from `hi(fp) & mask` for up to `PROBE_LIMIT` slots.
 //!
 //! # Why two u64 halves are safe
 //!

@@ -8,8 +8,7 @@
 //! in its slice, holds the only seen-set entry for it, and is the only
 //! place its frontier node is ever expanded. A **coordinator** drives the
 //! shards through bulk-synchronous rounds — one breadth-first layer per
-//! round — over Unix-domain sockets carrying the CRC-guarded frames of
-//! [`cbh_model::packed::frame`]:
+//! round — by exchanging messages with them:
 //!
 //! ```text
 //!   coordinator                                shard 0 .. shard S-1
@@ -58,25 +57,32 @@
 //! memory budget. The conformance oracle and `tests/dist_explore.rs`
 //! enforce exactly this.
 //!
-//! # Two modes, one wire format
+//! # One message format, two transports
 //!
-//! [`explore_sharded`] runs shards as threads sharing one [`PackedCtx`]
-//! (errors reach the caller as exact typed values through a side channel);
-//! [`coordinate`] / [`shard_serve`] run them as separate processes. Both
-//! send the same frames: intern ids are process-local (see
-//! [`cbh_model::packed::delta`]), so a [`K_SUCC`] candidate is only
-//! `(parent index, pid, fingerprint)`. Digests hash content, never ids, so
-//! a replica's fingerprint provably matches the producer's.
+//! A shard is a state machine with one handler that takes a message
+//! `(kind, payload)` and emits replies. [`coordinate`] / [`shard_serve`]
+//! run each shard as a process that reads the CRC-guarded frames of
+//! [`cbh_model::packed::frame`] off a Unix-domain socket and writes its
+//! replies back; a fatal error crosses as its rendering. [`explore_sharded`]
+//! keeps the shards in the calling process: sending a message calls the
+//! owner's handler and queues its replies, and errors reach the caller as
+//! exact values. No socket or thread is involved until a round's frontier
+//! reaches the packed engine's parallel threshold; wider rounds run each
+//! shard's `ROUND` and `FLUSH` on a scoped thread. Both modes count each
+//! message as the frame it is on a socket, so their telemetry agrees.
+//! Intern ids are process-local (see [`cbh_model::packed::delta`]), so a
+//! `SUCC` candidate is only `(parent index, pid, fingerprint)`. Digests
+//! hash content, never ids, so a replica's fingerprint provably matches
+//! the producer's.
 //!
 //! # Paying only for admissions
 //!
 //! Expansion previews edge digests and builds no state. A shard builds a
-//! candidate's state at [`K_FLUSH`], and only once its seen set has
-//! admitted the fingerprint:
+//! candidate's state at `FLUSH`, and only once its seen set has admitted
+//! the fingerprint:
 //!
 //! - A candidate it produced itself steps its parent, which the shard
-//!   holds (in the popped layer) from [`K_ROUND`] until the verdicts are
-//!   sent.
+//!   holds (in the popped layer) from `ROUND` until the verdicts are sent.
 //! - A remote candidate is replayed along its pid path. Candidates are
 //!   admitted in `(parent index, pid)` order and BFS indices are monotone
 //!   in ancestry, so consecutive replays share long ancestor prefixes: the
@@ -84,7 +90,7 @@
 //!   shared ancestor.
 //! - At the horizon with no solo checks to run, an admitted node will
 //!   never be expanded, so the shard settles its activity bit right there
-//!   (as the packed engine does) and reports it in the next [`K_DONE`]
+//!   (as the packed engine does) and reports it in the next `DONE`
 //!   instead of storing the widest layer for an edge-free round.
 //!
 //! # Budgets
@@ -96,7 +102,7 @@
 //! single-process engines' intern-table budget charging and typed
 //! budget-overrun error are not replicated here: shard interners are
 //! per-process and reported as telemetry only. The layer a shard holds
-//! from [`K_ROUND`] to [`K_VERDICTS`] is charged to its tracker meanwhile.
+//! from `ROUND` to `VERDICTS` is charged to its tracker meanwhile.
 
 use crate::checker::{
     decision_defect, decision_violation, schedule_of, Defect, ExploreLimits, ExploreOutcome,
@@ -113,10 +119,10 @@ use cbh_model::{
     encode_frame, FrameReader, PackedCache, PackedCtx, PackedState, Process, Protocol,
 };
 use cbh_sim::{Machine, SimError};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 // ---------------------------------------------------------------------------
 // Wire vocabulary
@@ -146,11 +152,11 @@ const K_VERDICTS: u8 = 6;
 const K_COMMIT: u8 = 7;
 /// Shard → coordinator, after a halting COMMIT: five telemetry varints.
 const K_STATS: u8 = 8;
-/// Shard → coordinator: fatal shard-local failure, payload is the rendered
-/// error message; the shard exits right after sending.
+/// Shard process → coordinator: fatal shard-local failure, payload is the
+/// rendered error message; the shard exits right after sending.
 const K_ERROR: u8 = 0x7F;
 
-/// Candidates per [`K_SUCC`] frame: bounds frame size while amortising
+/// Candidates per [`K_SUCC`] message: bounds frame size while amortising
 /// the header + CRC.
 const SUCC_BATCH: usize = 512;
 
@@ -161,11 +167,11 @@ pub fn shard_of(fp: u128, shards: usize) -> usize {
     ((fp >> 64) as u64 % shards as u64) as usize
 }
 
-/// Topology knobs for one distributed run. Thread and process shards
-/// take the same config and speak the same wire format.
+/// Topology knobs for one distributed run. In-process and process shards
+/// take the same config and exchange the same messages.
 #[derive(Debug, Clone, Copy)]
 pub struct DistConfig {
-    /// Fingerprint-space partitions (≥ 1); also the process/thread count.
+    /// Fingerprint-space partitions (≥ 1); also the shard-process count.
     pub shards: usize,
     /// Expansion worker threads *per shard* (≥ 1).
     pub workers: usize,
@@ -193,45 +199,6 @@ fn wire_err(detail: impl std::fmt::Display) -> SimError {
 }
 
 // ---------------------------------------------------------------------------
-// Side channel: exact error values for the in-process mode
-// ---------------------------------------------------------------------------
-
-/// In-process error fidelity: the wire renders [`SimError`]s to strings
-/// (fine for cross-process diagnostics), but when shards are threads the
-/// caller deserves the exact typed value. Shards deposit errors here keyed
-/// by the node they occurred on; the coordinator prefers a deposit over
-/// the wire rendering.
-#[derive(Debug, Default)]
-pub(crate) struct SideChannel {
-    /// Expansion errors by global node index.
-    errors: Mutex<HashMap<u64, SimError>>,
-    /// First fatal shard-local failure (spill IO, commit application).
-    fatal: Mutex<Option<SimError>>,
-}
-
-impl SideChannel {
-    fn new() -> Self {
-        SideChannel::default()
-    }
-
-    fn put(&self, idx: u64, err: SimError) {
-        self.errors.lock().unwrap().entry(idx).or_insert(err);
-    }
-
-    fn take(&self, idx: u64) -> Option<SimError> {
-        self.errors.lock().unwrap().remove(&idx)
-    }
-
-    fn put_fatal(&self, err: SimError) {
-        self.fatal.lock().unwrap().get_or_insert(err);
-    }
-
-    fn take_fatal(&self) -> Option<SimError> {
-        self.fatal.lock().unwrap().take()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shard side
 // ---------------------------------------------------------------------------
 
@@ -240,27 +207,24 @@ enum ShardExit {
     /// The coordinator vanished or spoke garbage: exit without ceremony —
     /// there is nobody left to report to.
     Silent,
-    /// A shard-local failure worth a [`K_ERROR`] frame before exiting.
+    /// A shard-local failure worth reporting before exiting.
     Fatal(SimError),
+}
+
+impl ShardExit {
+    /// The error the coordinator reports for shard `shard` stopping so.
+    fn into_error(self, shard: usize) -> SimError {
+        match self {
+            ShardExit::Fatal(err) => err,
+            ShardExit::Silent => wire_err(format_args!("shard {shard} terminated unexpectedly")),
+        }
+    }
 }
 
 impl From<SpillError> for ShardExit {
     fn from(e: SpillError) -> Self {
         ShardExit::Fatal(e.into())
     }
-}
-
-/// Per-shard constants, fixed for the whole run.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardCfg {
-    /// This shard's id in `0..shards`.
-    pub(crate) shard: usize,
-    /// Total shard count (the fingerprint-partition modulus).
-    pub(crate) shards: usize,
-    /// Expansion worker threads within this shard.
-    pub(crate) workers: usize,
-    /// Process-symmetry reduction flag (digest mode).
-    pub(crate) symmetric: bool,
 }
 
 /// [`Cand::slot`] of a candidate whose parent is not in this shard's held
@@ -288,7 +252,7 @@ enum RoundEvent {
     /// `pid`'s solo run from node `idx` failed to decide within budget.
     SoloFail { idx: u64, pid: u64 },
     /// Expanding node `idx` stepped outside the model (or a solo probe
-    /// did). The exact value also goes to the side channel when present.
+    /// did). The wire carries its rendering; the shard keeps the value.
     Failed { idx: u64, err: SimError },
 }
 
@@ -299,8 +263,8 @@ struct LayerOut {
     cands: Vec<Cand>,
 }
 
-/// Expands a contiguous chunk of the shard's held layer, starting at
-/// position `base`. Per-node failures become [`RoundEvent`]s rather than
+/// Expands a contiguous chunk of shard `shard`'s held layer (of `shards`),
+/// starting at position `base`. Per-node failures become [`RoundEvent`]s rather than
 /// aborting the chunk: the coordinator's sweep cuts at the first event in
 /// *global* order, which this shard cannot know locally.
 fn expand_chunk<P: Process>(
@@ -308,7 +272,7 @@ fn expand_chunk<P: Process>(
     chunk: &[Node],
     base: usize,
     run: RunCfg,
-    cfg: ShardCfg,
+    (shard, shards): (usize, usize),
     cache: &mut PackedCache<P>,
 ) -> LayerOut {
     let mut out = LayerOut {
@@ -332,7 +296,7 @@ fn expand_chunk<P: Process>(
                     continue;
                 }
                 for Edge { pid, fp } in exp.edges {
-                    let owned = shard_of(fp, cfg.shards) == cfg.shard;
+                    let owned = shard_of(fp, shards) == shard;
                     out.cands.push(Cand {
                         parent_idx: node.index as u64,
                         pid: pid as u64,
@@ -361,12 +325,12 @@ fn expand_layer<P: Process + Send + Sync>(
     ctx: &PackedCtx<P>,
     nodes: &[Node],
     run: RunCfg,
-    cfg: ShardCfg,
+    owner: (usize, usize), // (shard, shards), as in `expand_chunk`
     caches: &mut [PackedCache<P>],
 ) -> LayerOut {
     let workers = caches.len().min(nodes.len());
     if workers <= 1 || nodes.len() < MIN_PARALLEL_CONFIGS {
-        return expand_chunk(ctx, nodes, 0, run, cfg, &mut caches[0]);
+        return expand_chunk(ctx, nodes, 0, run, owner, &mut caches[0]);
     }
     let chunk_len = nodes.len().div_ceil(workers);
     let outs: Vec<LayerOut> = std::thread::scope(|scope| {
@@ -375,7 +339,7 @@ fn expand_layer<P: Process + Send + Sync>(
             .zip(caches.iter_mut())
             .enumerate()
             .map(|(i, (chunk, cache))| {
-                scope.spawn(move || expand_chunk(ctx, chunk, i * chunk_len, run, cfg, cache))
+                scope.spawn(move || expand_chunk(ctx, chunk, i * chunk_len, run, owner, cache))
             })
             .collect();
         handles
@@ -422,24 +386,17 @@ fn take_u8(p: &mut &[u8]) -> Result<u8, ShardExit> {
     Ok(b)
 }
 
-/// Encodes and writes one frame; a failed write means the peer is gone.
-fn send_frame(sock: &mut UnixStream, kind: u8, payload: &[u8]) -> Result<(), ShardExit> {
-    let mut wire = Vec::with_capacity(frame_len(payload.len()));
-    encode_frame(kind, payload, &mut wire);
-    sock.write_all(&wire).map_err(|_| ShardExit::Silent)
-}
-
 /// Blocking frame read: refills the reassembly buffer from the socket
 /// until one complete frame is available. `None` on EOF, IO failure or a
 /// typed frame corruption — all equally terminal for a shard.
-fn read_frame(reader: &mut FrameReader, sock: &mut UnixStream) -> Option<(u8, Vec<u8>)> {
+fn read_frame(reader: &mut FrameReader, mut sock: &UnixStream) -> Option<(u8, Vec<u8>)> {
     loop {
         match reader.next_frame() {
             Ok(Some(frame)) => return Some(frame),
             Ok(None) => {}
             Err(_) => return None,
         }
-        match reader.fill_from(sock) {
+        match reader.fill_from(&mut sock) {
             Ok(0) | Err(_) => return None,
             Ok(_) => {}
         }
@@ -505,121 +462,138 @@ fn replay_state<P: Process>(
 }
 
 // ---------------------------------------------------------------------------
-// The shard serving loop
+// The shard state machine
 // ---------------------------------------------------------------------------
 
-/// Runs one shard to completion: a thin wrapper over [`shard_run`] that
-/// reports fatal failures upstream (side channel + [`K_ERROR`] frame)
-/// before exiting.
-pub(crate) fn shard_loop<P: Process + Send + Sync>(
-    ctx: &PackedCtx<P>,
-    root: PackedState,
-    inputs: &[u64],
+/// One shard's share of the engine state, driven one coordinator message
+/// at a time by [`Shard::handle`]: a budgeted seen backend over its
+/// fingerprint slice, a budgeted frontier store of its owned nodes, the
+/// layer being expanded, the provenance mirror (`meta`) and the round's
+/// pending candidates.
+struct Shard<'a, P: Process> {
+    ctx: &'a PackedCtx<P>,
+    inputs: &'a [u64],
     limits: ExploreLimits,
-    cfg: ShardCfg,
-    mut sock: UnixStream,
-    side: Option<&SideChannel>,
-) {
-    match shard_run(ctx, root, inputs, limits, cfg, &mut sock, side) {
-        Ok(()) | Err(ShardExit::Silent) => {}
-        Err(ShardExit::Fatal(err)) => {
-            if let Some(side) = side {
-                side.put_fatal(err.clone());
-            }
-            let mut wire = Vec::new();
-            encode_frame(K_ERROR, err.to_string().as_bytes(), &mut wire);
-            let _ = sock.write_all(&wire);
-        }
-    }
+    cfg: DistConfig,
+    /// This shard's id in `0..cfg.shards`.
+    id: usize,
+    run: RunCfg,
+    mem: SpillContext,
+    seen: SeenBackend,
+    frontier: FrontierStore<NodeCodec>,
+    /// One cache per expansion thread for the shard's whole lifetime; the
+    /// first also serves the handler's own materialisations, replays and
+    /// decision checks.
+    caches: Vec<PackedCache<P>>,
+    /// Global node index -> (parent global index, pid): the coordinator's
+    /// link list mirrored shard-side, extended by every COMMIT. Index 0 is
+    /// the root; its entry is never dereferenced.
+    meta: Vec<(u64, u64)>,
+    /// The last replayed ancestor chain (see `replay_state`).
+    path: Vec<(u64, PackedState)>,
+    /// The layer popped by the current round, held (and charged to the
+    /// tracker as `layer_cost`) until its owned candidates are
+    /// materialised at FLUSH.
+    layer: Vec<Node>,
+    layer_cost: usize,
+    /// Rounds started so far: round `r` expands depth `r - 1` and admits
+    /// depth `r`.
+    round: usize,
+    pending: Vec<Cand>,
+    /// This round's admissions awaiting indices: how many, and the nodes
+    /// of those that will be expanded, in verdict order.
+    admitted: usize,
+    fresh: Vec<Node>,
+    /// Admissions at the horizon with no solo checks to run are never
+    /// expanded: only their activity matters, settled at admission (as the
+    /// packed engine's `inline_active`) and reported in the next DONE.
+    horizon_active: bool,
+    /// Exact values of this shard's expansion errors by node index; the
+    /// wire carries only their renderings.
+    errors: HashMap<u64, SimError>,
 }
 
-/// The shard's kind-dispatched protocol loop. Owns the shard's quarter of
-/// the engine state: a budgeted seen backend over its fingerprint slice, a
-/// budgeted frontier store of its owned nodes, the layer being expanded,
-/// the provenance mirror (`meta`) and the round's pending candidates.
-#[allow(clippy::too_many_lines)]
-fn shard_run<P: Process + Send + Sync>(
-    ctx: &PackedCtx<P>,
-    root: PackedState,
-    inputs: &[u64],
-    limits: ExploreLimits,
-    cfg: ShardCfg,
-    sock: &mut UnixStream,
-    side: Option<&SideChannel>,
-) -> Result<(), ShardExit> {
-    let run = RunCfg {
-        solo_budget: limits.solo_check_budget,
-        symmetric: cfg.symmetric,
-        cache_cap: cache_cap_of(limits.memory_budget),
-    };
-    let mem = SpillContext::new(limits.memory_budget);
-    let mut seen = SeenBackend::new((limits.max_configs / cfg.shards).max(64), &mem);
-    let mut frontier = FrontierStore::new(NodeCodec, mem.clone());
-    // One cache per expansion thread for the shard's whole lifetime; the
-    // first also serves this loop's own materialisations, replays and
-    // decision checks.
-    let mut caches: Vec<PackedCache<P>> = (0..cfg.workers.max(1))
-        .map(|_| PackedCache::new())
-        .collect();
-    // Global node index -> (parent global index, pid): the coordinator's
-    // link list mirrored shard-side, extended by every COMMIT. Index 0 is
-    // the root; its entry is never dereferenced.
-    let mut meta: Vec<(u64, u64)> = vec![(u64::MAX, 0)];
-    // The last replayed ancestor chain (see `replay_state`).
-    let mut path: Vec<(u64, PackedState)> = vec![(0, root.clone())];
-    // The layer popped by the current round, held (and charged to the
-    // tracker) until its owned candidates are materialised at FLUSH.
-    let mut layer: Vec<Node> = Vec::new();
-    let mut layer_cost = 0usize;
-    // Rounds started so far: round `r` expands depth `r - 1` and admits
-    // depth `r`.
-    let mut round = 0usize;
-    let mut pending: Vec<Cand> = Vec::new();
-    // This round's admissions awaiting indices: all of them, and the nodes
-    // of those that will be expanded, in verdict order.
-    let mut admitted = 0usize;
-    let mut fresh: Vec<Node> = Vec::new();
-    // Admissions at the horizon with no solo checks to run are never
-    // expanded: only their activity matters, settled at admission (as the
-    // packed engine's `inline_active`) and reported in the next DONE.
-    let mut horizon_active = false;
-    let mut reader = FrameReader::new();
-
-    let root_fp = ctx.digest_cached(&mut caches[0], &root, cfg.symmetric);
-    if shard_of(root_fp, cfg.shards) == cfg.shard {
-        let fresh_root = seen.admit(root_fp)?;
-        debug_assert!(fresh_root, "fresh seen set: the root cannot be pre-admitted");
-        frontier.push(Node {
-            index: 0,
-            state: root,
-            fp: root_fp,
-            expand: true,
-        })?;
+impl<'a, P: Process + Send + Sync> Shard<'a, P> {
+    /// A shard with the root in its frontier if it owns the root.
+    fn new(
+        ctx: &'a PackedCtx<P>,
+        root: PackedState,
+        inputs: &'a [u64],
+        limits: ExploreLimits,
+        cfg: DistConfig,
+        id: usize,
+    ) -> Result<Self, ShardExit> {
+        let mem = SpillContext::new(limits.memory_budget);
+        let mut shard = Shard {
+            ctx,
+            inputs,
+            limits,
+            cfg,
+            id,
+            run: RunCfg {
+                solo_budget: limits.solo_check_budget,
+                symmetric: cfg.symmetric,
+                cache_cap: cache_cap_of(limits.memory_budget),
+            },
+            seen: SeenBackend::new((limits.max_configs / cfg.shards).max(64), &mem),
+            frontier: FrontierStore::new(NodeCodec, mem.clone()),
+            mem,
+            caches: (0..cfg.workers.max(1)).map(|_| PackedCache::new()).collect(),
+            meta: vec![(u64::MAX, 0)],
+            path: vec![(0, root.clone())],
+            layer: Vec::new(),
+            layer_cost: 0,
+            round: 0,
+            pending: Vec::new(),
+            admitted: 0,
+            fresh: Vec::new(),
+            horizon_active: false,
+            errors: HashMap::new(),
+        };
+        let root_fp = ctx.digest_cached(&mut shard.caches[0], &root, cfg.symmetric);
+        if shard_of(root_fp, cfg.shards) == id {
+            let fresh_root = shard.seen.admit(root_fp)?;
+            debug_assert!(fresh_root, "fresh seen set: the root cannot be pre-admitted");
+            shard.frontier.push(Node {
+                index: 0,
+                state: root,
+                fp: root_fp,
+                expand: true,
+            })?;
+        }
+        Ok(shard)
     }
 
-    loop {
-        let Some((kind, payload)) = read_frame(&mut reader, sock) else {
-            return Err(ShardExit::Silent);
-        };
+    /// Handles one coordinator message, passing each reply to `reply` as
+    /// soon as it is made. `Ok(true)` after a halting COMMIT: the shard has
+    /// sent its telemetry and serves no more.
+    #[allow(clippy::too_many_lines)]
+    fn handle(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        reply: &mut impl FnMut(u8, Vec<u8>) -> Result<(), ShardExit>,
+    ) -> Result<bool, ShardExit> {
+        let (ctx, cfg, id) = (self.ctx, self.cfg, self.id);
         match kind {
             K_ROUND => {
                 let expand = payload.first().copied().unwrap_or(0) != 0;
-                round += 1;
-                while let Some(mut node) = frontier.pop()? {
+                self.round += 1;
+                while let Some(mut node) = self.frontier.pop()? {
                     node.expand = expand;
-                    layer_cost += NodeCodec.cost(&node);
-                    layer.push(node);
+                    self.layer_cost += NodeCodec.cost(&node);
+                    self.layer.push(node);
                 }
-                assert!(layer.len() < REMOTE as usize, "layer slots fit a u32");
-                mem.tracker().add_resident(layer_cost);
-                let out = expand_layer(ctx, &layer, run, cfg, &mut caches);
+                assert!(self.layer.len() < REMOTE as usize, "layer slots fit a u32");
+                self.mem.tracker().add_resident(self.layer_cost);
+                let out = expand_layer(ctx, &self.layer, self.run, (id, cfg.shards), &mut self.caches);
                 // Route candidates: owned ones go straight to pending,
-                // remote ones to their owner in batched SUCC frames.
+                // remote ones to their owner in batched SUCC messages.
                 let mut by_dest: Vec<Vec<Cand>> = (0..cfg.shards).map(|_| Vec::new()).collect();
                 for cand in out.cands {
                     let dest = shard_of(cand.fp, cfg.shards);
-                    if dest == cfg.shard {
-                        pending.push(cand);
+                    if dest == id {
+                        self.pending.push(cand);
                     } else {
                         by_dest[dest].push(cand);
                     }
@@ -634,45 +608,41 @@ fn shard_run<P: Process + Send + Sync>(
                             write_varint(&mut p, cand.pid);
                             p.extend_from_slice(&cand.fp.to_le_bytes());
                         }
-                        send_frame(sock, K_SUCC, &p)?;
+                        reply(K_SUCC, p)?;
                     }
                 }
-                // Events: exact values to the side channel, renderings to
-                // the wire.
                 let mut p = Vec::new();
-                p.push(u8::from(out.any_active || horizon_active));
-                horizon_active = false;
+                p.push(u8::from(out.any_active || self.horizon_active));
+                self.horizon_active = false;
                 write_varint(&mut p, out.events.len() as u64);
-                for event in &out.events {
+                for event in out.events {
                     match event {
                         RoundEvent::SoloFail { idx, pid } => {
                             p.push(0);
-                            write_varint(&mut p, *idx);
-                            write_varint(&mut p, *pid);
+                            write_varint(&mut p, idx);
+                            write_varint(&mut p, pid);
                         }
                         RoundEvent::Failed { idx, err } => {
-                            if let Some(side) = side {
-                                side.put(*idx, err.clone());
-                            }
                             p.push(1);
-                            write_varint(&mut p, *idx);
+                            write_varint(&mut p, idx);
                             let msg = err.to_string();
                             write_varint(&mut p, msg.len() as u64);
                             p.extend_from_slice(msg.as_bytes());
+                            self.errors.insert(idx, err);
                         }
                     }
                 }
-                send_frame(sock, K_DONE, &p)?;
+                reply(K_DONE, p)?;
             }
             K_SUCC => {
-                let mut p = payload.as_slice();
+                let mut p = payload;
                 let dest = rv(&mut p)?;
-                if dest as usize != cfg.shard {
+                if dest as usize != id {
                     return Err(ShardExit::Silent); // misrouted: protocol dead
                 }
                 let count = rv(&mut p)?;
                 for _ in 0..count {
-                    pending.push(Cand {
+                    self.pending.push(Cand {
                         parent_idx: rv(&mut p)?,
                         pid: rv(&mut p)?,
                         fp: take_fp(&mut p)?,
@@ -683,29 +653,31 @@ fn shard_run<P: Process + Send + Sync>(
             K_FLUSH => {
                 // The shard-global admission order: the reference's layer
                 // order restricted to this shard's owned fingerprints.
-                pending.sort_unstable_by_key(|c| (c.parent_idx, c.pid));
-                fresh.clear();
-                admitted = 0;
-                let horizon = round == limits.depth && limits.solo_check_budget.is_none();
+                self.pending.sort_unstable_by_key(|c| (c.parent_idx, c.pid));
+                self.fresh.clear();
+                self.admitted = 0;
+                let horizon =
+                    self.round == self.limits.depth && self.limits.solo_check_budget.is_none();
                 let mut records = Vec::new();
-                for cand in pending.drain(..) {
-                    if !seen.admit(cand.fp)? {
+                for cand in self.pending.drain(..) {
+                    if !self.seen.admit(cand.fp)? {
                         continue;
                     }
                     // Materialised only now that dedup said fresh.
+                    let cache = &mut self.caches[0];
                     let state = if cand.slot == REMOTE {
                         replay_state(
                             ctx,
-                            &meta,
-                            &mut path,
-                            round - 1,
+                            &self.meta,
+                            &mut self.path,
+                            self.round - 1,
                             cand.parent_idx,
                             cand.pid,
-                            &mut caches[0],
+                            cache,
                         )?
                     } else {
-                        let parent = &layer[cand.slot as usize].state;
-                        ctx.branch_step_cached(&mut caches[0], parent, cand.pid as usize)
+                        let parent = &self.layer[cand.slot as usize].state;
+                        ctx.branch_step_cached(cache, parent, cand.pid as usize)
                             .expect("previewed edge steps")
                     };
                     debug_assert_eq!(
@@ -714,12 +686,11 @@ fn shard_run<P: Process + Send + Sync>(
                         "candidate digest out of sync with its state"
                     );
                     let decisions: Vec<u64> = (0..state.n())
-                        .filter_map(|p| ctx.decision_cached(&mut caches[0], &state, p))
+                        .filter_map(|p| ctx.decision_cached(cache, &state, p))
                         .collect();
-                    let defect = decision_defect(&decisions, inputs);
                     write_varint(&mut records, cand.parent_idx);
                     write_varint(&mut records, cand.pid);
-                    match defect {
+                    match decision_defect(&decisions, self.inputs) {
                         None => records.push(0),
                         Some(Defect::Validity { decided }) => {
                             records.push(1);
@@ -731,11 +702,11 @@ fn shard_run<P: Process + Send + Sync>(
                             write_varint(&mut records, b);
                         }
                     }
-                    admitted += 1;
+                    self.admitted += 1;
                     if horizon {
-                        horizon_active |= ctx.has_active(&state);
+                        self.horizon_active |= ctx.has_active(&state);
                     } else {
-                        fresh.push(Node {
+                        self.fresh.push(Node {
                             index: 0, // assigned by the COMMIT that follows
                             state,
                             fp: cand.fp,
@@ -744,28 +715,28 @@ fn shard_run<P: Process + Send + Sync>(
                     }
                 }
                 let mut p = Vec::new();
-                write_varint(&mut p, admitted as u64);
+                write_varint(&mut p, self.admitted as u64);
                 p.extend_from_slice(&records);
-                send_frame(sock, K_VERDICTS, &p)?;
-                layer.clear();
-                mem.tracker().sub_resident(layer_cost);
-                layer_cost = 0;
+                reply(K_VERDICTS, p)?;
+                self.layer.clear();
+                self.mem.tracker().sub_resident(self.layer_cost);
+                self.layer_cost = 0;
             }
             K_COMMIT => {
-                let mut p = payload.as_slice();
+                let mut p = payload;
                 if take_u8(&mut p)? != 0 {
-                    // Halt: report telemetry and exit.
+                    // Halt: report telemetry and stop.
                     let mut sp = Vec::new();
-                    write_varint(&mut sp, mem.tracker().bytes_spilled());
-                    write_varint(&mut sp, mem.tracker().peak_resident_bytes() as u64);
-                    write_varint(&mut sp, seen.seen_resident_bytes() as u64);
+                    write_varint(&mut sp, self.mem.tracker().bytes_spilled());
+                    write_varint(&mut sp, self.mem.tracker().peak_resident_bytes() as u64);
+                    write_varint(&mut sp, self.seen.seen_resident_bytes() as u64);
                     write_varint(&mut sp, ctx.intern_resident_bytes() as u64);
-                    write_varint(&mut sp, seen.fpset_disk_bytes());
-                    let _ = send_frame(sock, K_STATS, &sp);
-                    return Ok(());
+                    write_varint(&mut sp, self.seen.fpset_disk_bytes());
+                    reply(K_STATS, sp)?;
+                    return Ok(true);
                 }
                 let mine = rv(&mut p)? as usize;
-                if mine != admitted {
+                if mine != self.admitted {
                     return Err(ShardExit::Silent);
                 }
                 let mut indices = Vec::with_capacity(mine);
@@ -773,183 +744,307 @@ fn shard_run<P: Process + Send + Sync>(
                     indices.push(rv(&mut p)?);
                 }
                 let link_count = rv(&mut p)? as usize;
-                meta.reserve(link_count);
+                self.meta.reserve(link_count);
                 for _ in 0..link_count {
                     let parent = rv(&mut p)?;
                     let pid = rv(&mut p)?;
-                    meta.push((parent, pid));
+                    self.meta.push((parent, pid));
                 }
                 // Horizon admissions take no frontier slot (`fresh` is then
                 // empty): their indices are only mirrored in `meta`.
-                for (mut node, idx) in fresh.drain(..).zip(indices) {
-                    debug_assert!((idx as usize) < meta.len(), "index past the link mirror");
+                for (mut node, idx) in self.fresh.drain(..).zip(indices) {
+                    debug_assert!((idx as usize) < self.meta.len(), "index past the link mirror");
                     node.index = idx as usize;
-                    frontier.push(node)?;
+                    self.frontier.push(node)?;
                 }
             }
             _ => return Err(ShardExit::Silent),
         }
+        Ok(false)
+    }
+}
+
+/// Serves one shard over a socket until a halting COMMIT: read a frame,
+/// run the handler, write each reply as a frame. A fatal failure goes
+/// upstream in a [`K_ERROR`] frame before the shard exits.
+pub(crate) fn shard_loop<P: Process + Send + Sync>(
+    ctx: &PackedCtx<P>,
+    root: PackedState,
+    inputs: &[u64],
+    limits: ExploreLimits,
+    cfg: DistConfig,
+    id: usize,
+    sock: UnixStream,
+) {
+    let mut wire = Vec::new();
+    let mut reply = |kind: u8, payload: Vec<u8>| {
+        wire.clear();
+        encode_frame(kind, &payload, &mut wire);
+        (&sock).write_all(&wire).map_err(|_| ShardExit::Silent)
+    };
+    let served = Shard::new(ctx, root, inputs, limits, cfg, id).and_then(|mut shard| {
+        let mut reader = FrameReader::new();
+        loop {
+            let (kind, payload) = read_frame(&mut reader, &sock).ok_or(ShardExit::Silent)?;
+            if shard.handle(kind, &payload, &mut reply)? {
+                return Ok(());
+            }
+        }
+    });
+    if let Err(ShardExit::Fatal(err)) = served {
+        let _ = reply(K_ERROR, err.to_string().into_bytes());
     }
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator side
+// Coordinator side: transports
 // ---------------------------------------------------------------------------
 
-/// What a hub reader thread delivers for its shard.
+/// What the coordinator receives from a shard.
 enum Inbound {
-    /// One reassembled, CRC-verified frame.
+    /// One reply (across processes, a reassembled, CRC-verified frame).
     Frame(u8, Vec<u8>),
-    /// The shard's stream ended (EOF, IO failure or frame corruption).
+    /// The shard stopped serving: its stream ended (EOF, IO failure or
+    /// frame corruption) or its handler failed.
     Gone,
 }
 
-/// The coordinator's socket fan: one writer per shard on the calling
-/// thread, one detached reader thread per shard draining frames into a
-/// single channel. Readers *always* drain — that is the deadlock-freedom
-/// argument: a shard's writes complete regardless of what the coordinator
-/// is doing, so a shard busy expanding eventually returns to its read
-/// loop and unblocks any coordinator forward stuck on its socket.
-struct Hub<'a> {
-    writers: Vec<UnixStream>,
-    rx: mpsc::Receiver<(usize, Inbound)>,
-    gone: Vec<bool>,
-    /// Frames this hub sent plus received ([`ExploreStats::frames_exchanged`]).
-    frames_exchanged: u64,
-    /// Encoded bytes of those frames, headers and CRCs included.
-    frame_bytes: u64,
-    halted: bool,
-    /// Thread mode's exact shard errors; `None` across processes.
-    side: Option<&'a SideChannel>,
+/// How the coordinator reaches its shards.
+trait Transport {
+    /// Delivers one message to `shard`.
+    fn send(&mut self, shard: usize, kind: u8, payload: &[u8]) -> Result<(), SimError>;
+    /// Delivers one message to every shard. `wide` says the round's
+    /// frontier holds at least [`MIN_PARALLEL_CONFIGS`] nodes: work enough
+    /// to pay for a thread per shard.
+    fn broadcast(&mut self, kind: u8, payload: &[u8], wide: bool) -> Result<(), SimError>;
+    /// The next reply from any shard; `None` once none can come.
+    fn recv(&mut self) -> Option<(usize, Inbound)>;
+    /// The exact error behind `shard`'s failure to expand node `Some(idx)`,
+    /// or behind its stopping (`None`), if this transport can see it.
+    fn exact(&mut self, shard: usize, node: Option<u64>) -> Option<SimError>;
+    /// Why `shard` stopped serving.
+    fn stopped(&mut self, shard: usize) -> SimError {
+        self.exact(shard, None).unwrap_or_else(|| ShardExit::Silent.into_error(shard))
+    }
 }
 
-impl<'a> Hub<'a> {
-    fn new(streams: Vec<UnixStream>, side: Option<&'a SideChannel>) -> std::io::Result<Self> {
-        let shards = streams.len();
+/// The process transport: one writer per shard on the calling thread, one
+/// detached reader thread per shard draining frames into a single channel.
+/// Readers *always* drain — that is the deadlock-freedom argument: a
+/// shard's writes complete regardless of what the coordinator is doing, so
+/// a shard busy expanding eventually returns to its read loop and unblocks
+/// any coordinator forward stuck on its socket.
+struct Sockets {
+    writers: Vec<UnixStream>,
+    rx: mpsc::Receiver<(usize, Inbound)>,
+}
+
+impl Sockets {
+    fn new(streams: Vec<UnixStream>) -> std::io::Result<Self> {
         let (tx, rx) = mpsc::channel();
-        let mut writers = Vec::with_capacity(shards);
+        let mut writers = Vec::with_capacity(streams.len());
         for (id, stream) in streams.into_iter().enumerate() {
-            let mut rd = stream.try_clone()?;
+            let rd = stream.try_clone()?;
             let tx = tx.clone();
             std::thread::spawn(move || {
                 let mut reader = FrameReader::new();
-                loop {
-                    loop {
-                        match reader.next_frame() {
-                            Ok(Some((kind, payload))) => {
-                                if tx.send((id, Inbound::Frame(kind, payload))).is_err() {
-                                    return; // hub dropped: nobody is listening
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                let _ = tx.send((id, Inbound::Gone));
-                                return;
-                            }
-                        }
-                    }
-                    match reader.fill_from(&mut rd) {
-                        Ok(0) | Err(_) => {
-                            let _ = tx.send((id, Inbound::Gone));
-                            return;
-                        }
-                        Ok(_) => {}
+                while let Some((kind, payload)) = read_frame(&mut reader, &rd) {
+                    if tx.send((id, Inbound::Frame(kind, payload))).is_err() {
+                        return; // hub dropped: nobody is listening
                     }
                 }
+                let _ = tx.send((id, Inbound::Gone));
             });
             writers.push(stream);
         }
-        Ok(Hub {
-            writers,
-            rx,
-            gone: vec![false; shards],
-            frames_exchanged: 0,
-            frame_bytes: 0,
-            halted: false,
-            side,
-        })
+        Ok(Sockets { writers, rx })
     }
+}
 
-    /// The exact error a thread-mode shard deposited before exiting, if any.
-    fn fatal(&self) -> Option<SimError> {
-        self.side.and_then(SideChannel::take_fatal)
-    }
-
-    /// A shard died without a [`K_ERROR`] report.
-    fn died(&self, shard: usize) -> SimError {
-        self.fatal()
-            .unwrap_or_else(|| wire_err(format_args!("shard {shard} terminated unexpectedly")))
-    }
-
-    /// A shard reported a fatal failure before exiting.
-    fn reported(&self, payload: &[u8]) -> SimError {
-        self.fatal().unwrap_or_else(|| SimError::Spill {
-            detail: format!("dist shard: {}", String::from_utf8_lossy(payload)),
-        })
-    }
-
+impl Transport for Sockets {
     fn send(&mut self, shard: usize, kind: u8, payload: &[u8]) -> Result<(), SimError> {
         let mut wire = Vec::with_capacity(frame_len(payload.len()));
         encode_frame(kind, payload, &mut wire);
-        self.frames_exchanged += 1;
-        self.frame_bytes += wire.len() as u64;
-        // A shard that failed at once may close its socket before the
-        // first frame reaches it; its deposit then explains the failed send.
-        self.writers[shard].write_all(&wire).map_err(|e| {
-            self.fatal()
-                .unwrap_or_else(|| wire_err(format_args!("send to shard {shard}: {e}")))
-        })
+        self.writers[shard]
+            .write_all(&wire)
+            .map_err(|e| wire_err(format_args!("send to shard {shard}: {e}")))
     }
 
-    fn broadcast(&mut self, kind: u8, payload: &[u8]) -> Result<(), SimError> {
-        for shard in 0..self.writers.len() {
-            self.send(shard, kind, payload)?;
+    fn broadcast(&mut self, kind: u8, payload: &[u8], _wide: bool) -> Result<(), SimError> {
+        (0..self.writers.len()).try_for_each(|shard| self.send(shard, kind, payload))
+    }
+
+    fn recv(&mut self) -> Option<(usize, Inbound)> {
+        self.rx.recv().ok()
+    }
+
+    fn exact(&mut self, _shard: usize, _node: Option<u64>) -> Option<SimError> {
+        None
+    }
+}
+
+/// The in-process transport: every shard lives here, and delivering a
+/// message is a call to its owner's handler. Replies queue in `inbox`.
+struct Local<'a, P: Process> {
+    /// A serving shard or, once it stopped, the exact error of a failed
+    /// one until the coordinator takes it.
+    shards: Vec<Result<Shard<'a, P>, Option<SimError>>>,
+    inbox: VecDeque<(usize, Inbound)>,
+}
+
+/// One handler call's outcome and replies, in order.
+type Served = (Result<bool, ShardExit>, Vec<(u8, Vec<u8>)>);
+
+/// Runs one shard's handler on one message, collecting its replies.
+fn call<P: Process + Send + Sync>(shard: &mut Shard<'_, P>, kind: u8, payload: &[u8]) -> Served {
+    let mut out = Vec::new();
+    let served = shard.handle(kind, payload, &mut |kind, p| {
+        out.push((kind, p));
+        Ok(())
+    });
+    (served, out)
+}
+
+impl<P: Process + Send + Sync> Local<'_, P> {
+    /// Queues a call's replies. A halted or failed shard stops serving; a
+    /// failed one queues [`Inbound::Gone`] after its replies.
+    fn settle(&mut self, shard: usize, (served, out): Served) {
+        self.inbox.extend(out.into_iter().map(|(kind, p)| (shard, Inbound::Frame(kind, p))));
+        match served {
+            Ok(false) => {}
+            Ok(true) => self.shards[shard] = Err(None),
+            Err(exit) => {
+                self.shards[shard] = Err(Some(exit.into_error(shard)));
+                self.inbox.push_back((shard, Inbound::Gone));
+            }
+        }
+    }
+}
+
+impl<P: Process + Send + Sync> Transport for Local<'_, P> {
+    fn send(&mut self, shard: usize, kind: u8, payload: &[u8]) -> Result<(), SimError> {
+        let Ok(state) = &mut self.shards[shard] else {
+            return Err(self.stopped(shard));
+        };
+        let served = call(state, kind, payload);
+        self.settle(shard, served);
+        Ok(())
+    }
+
+    fn broadcast(&mut self, kind: u8, payload: &[u8], wide: bool) -> Result<(), SimError> {
+        if !wide || self.shards.len() == 1 {
+            return (0..self.shards.len()).try_for_each(|shard| self.send(shard, kind, payload));
+        }
+        if let Some(shard) = self.shards.iter().position(Result::is_err) {
+            return Err(self.stopped(shard));
+        }
+        let calls: Vec<Served> = std::thread::scope(|scope| {
+            let spawn = |shard| scope.spawn(move || call(shard, kind, payload));
+            let handles: Vec<_> = self.shards.iter_mut().flatten().map(spawn).collect();
+            handles.into_iter().map(|h| h.join().expect("shard handler panicked")).collect()
+        });
+        for (shard, served) in calls.into_iter().enumerate() {
+            self.settle(shard, served);
         }
         Ok(())
     }
 
-    /// The next inbound message from any shard; `None` once every reader
-    /// thread has exited and drained.
     fn recv(&mut self) -> Option<(usize, Inbound)> {
-        match self.rx.recv().ok()? {
-            (shard, Inbound::Gone) => {
-                self.gone[shard] = true;
-                Some((shard, Inbound::Gone))
-            }
-            (shard, Inbound::Frame(kind, payload)) => {
-                self.frames_exchanged += 1;
-                self.frame_bytes += frame_len(payload.len()) as u64;
-                Some((shard, Inbound::Frame(kind, payload)))
-            }
+        self.inbox.pop_front()
+    }
+
+    fn exact(&mut self, shard: usize, node: Option<u64>) -> Option<SimError> {
+        match (&mut self.shards[shard], node) {
+            (Ok(state), Some(idx)) => state.errors.remove(&idx),
+            (Err(failed), None) => failed.take(),
+            _ => None,
+        }
+    }
+}
+
+/// The coordinator's end of a transport: frame accounting, stopped shards
+/// and the halt.
+struct Hub<T: Transport> {
+    link: T,
+    gone: Vec<bool>,
+    /// Messages sent plus received ([`ExploreStats::frames_exchanged`]).
+    frames_exchanged: u64,
+    /// Their encoded frame bytes, headers and CRCs included.
+    frame_bytes: u64,
+    halted: bool,
+}
+
+impl<T: Transport> Hub<T> {
+    fn new(link: T, shards: usize) -> Self {
+        Hub {
+            link,
+            gone: vec![false; shards],
+            frames_exchanged: 0,
+            frame_bytes: 0,
+            halted: false,
         }
     }
 
+    /// Counts `frames` messages of a `payload_len`-byte payload as the
+    /// frames they are on a socket.
+    fn count(&mut self, frames: usize, payload_len: usize) {
+        self.frames_exchanged += frames as u64;
+        self.frame_bytes += (frames * frame_len(payload_len)) as u64;
+    }
+
+    fn send(&mut self, shard: usize, kind: u8, payload: &[u8]) -> Result<(), SimError> {
+        self.count(1, payload.len());
+        self.link.send(shard, kind, payload)
+    }
+
+    fn broadcast(&mut self, kind: u8, payload: &[u8], wide: bool) -> Result<(), SimError> {
+        self.count(self.gone.len(), payload.len());
+        self.link.broadcast(kind, payload, wide)
+    }
+
+    fn recv(&mut self) -> Option<(usize, Inbound)> {
+        let (shard, inbound) = self.link.recv()?;
+        match &inbound {
+            Inbound::Gone => self.gone[shard] = true,
+            Inbound::Frame(_, payload) => self.count(1, payload.len()),
+        }
+        Some((shard, inbound))
+    }
+
     /// Best-effort halting COMMIT to every shard; idempotent. Shards that
-    /// already exited fail the write, which is fine — they are where we
+    /// already stopped fail the send, which is fine — they are where we
     /// are sending them.
     fn halt_all(&mut self) {
         if self.halted {
             return;
         }
         self.halted = true;
-        let mut wire = Vec::new();
-        encode_frame(K_COMMIT, &[1], &mut wire);
-        self.frames_exchanged += self.writers.len() as u64;
-        self.frame_bytes += (wire.len() * self.writers.len()) as u64;
-        for writer in &mut self.writers {
-            let _ = writer.write_all(&wire);
+        self.count(self.gone.len(), 1);
+        for shard in 0..self.gone.len() {
+            let _ = self.link.send(shard, K_COMMIT, &[1]);
         }
     }
 }
 
 /// A halt reaches the shards on **every** exit path — normal, error or
-/// unwinding — or thread-mode shards would block forever on a socket the
-/// reader threads keep open, deadlocking the caller's `thread::scope`.
-impl Drop for Hub<'_> {
+/// unwinding — or socket shards would block forever on a socket the
+/// reader threads keep open.
+impl<T: Transport> Drop for Hub<T> {
     fn drop(&mut self) {
         self.halt_all();
     }
 }
+
+/// A shard process reported a fatal failure before exiting.
+fn reported(payload: &[u8]) -> SimError {
+    SimError::Spill {
+        detail: format!("dist shard: {}", String::from_utf8_lossy(payload)),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator side: the round loop
+// ---------------------------------------------------------------------------
 
 /// Varint field read, coordinator side.
 fn rv_c(p: &mut &[u8]) -> Result<u64, SimError> {
@@ -963,7 +1058,7 @@ fn rv_c(p: &mut &[u8]) -> Result<u64, SimError> {
 /// the reference's within-layer processing order.
 enum SweepItem {
     Solo { idx: u64, pid: u64 },
-    Failed { idx: u64, msg: String },
+    Failed { shard: usize, idx: u64, msg: String },
     Fresh {
         shard: usize,
         parent_idx: u64,
@@ -984,18 +1079,19 @@ impl SweepItem {
     }
 }
 
-/// Gathers the expansion phase: forwards [`K_SUCC`] frames to their owner
-/// as they arrive, collects every shard's [`K_DONE`].
-fn gather_round(hub: &mut Hub, shards: usize) -> Result<(bool, Vec<SweepItem>), SimError> {
+/// Gathers the expansion phase: forwards [`K_SUCC`] messages to their
+/// owner as they arrive, collects every shard's [`K_DONE`].
+fn gather_round<T: Transport>(hub: &mut Hub<T>) -> Result<(bool, Vec<SweepItem>), SimError> {
+    let shards = hub.gone.len();
     let mut any_active = false;
     let mut items = Vec::new();
     let mut done = vec![false; shards];
     while done.iter().any(|d| !d) {
         let Some((shard, inbound)) = hub.recv() else {
-            return Err(wire_err("every shard reader exited mid-round"));
+            return Err(wire_err("every shard fell silent mid-round"));
         };
         match inbound {
-            Inbound::Gone => return Err(hub.died(shard)),
+            Inbound::Gone => return Err(hub.link.stopped(shard)),
             Inbound::Frame(K_SUCC, payload) => {
                 let mut peek = payload.as_slice();
                 let dest = rv_c(&mut peek)? as usize;
@@ -1034,6 +1130,7 @@ fn gather_round(hub: &mut Hub, shards: usize) -> Result<(bool, Vec<SweepItem>), 
                             let (msg, rest) = pp.split_at(len);
                             *pp = rest;
                             items.push(SweepItem::Failed {
+                                shard,
                                 idx,
                                 msg: String::from_utf8_lossy(msg).into_owned(),
                             });
@@ -1043,26 +1140,25 @@ fn gather_round(hub: &mut Hub, shards: usize) -> Result<(bool, Vec<SweepItem>), 
                 }
                 done[shard] = true;
             }
-            Inbound::Frame(K_ERROR, payload) => return Err(hub.reported(&payload)),
+            Inbound::Frame(K_ERROR, payload) => return Err(reported(&payload)),
             Inbound::Frame(..) => return Err(wire_err("unexpected frame kind during a round")),
         }
     }
     Ok((any_active, items))
 }
 
-/// Gathers one [`K_VERDICTS`] frame per shard after the flush barrier.
-fn gather_verdicts(
-    hub: &mut Hub,
-    shards: usize,
+/// Gathers one [`K_VERDICTS`] message per shard after the flush barrier.
+fn gather_verdicts<T: Transport>(
+    hub: &mut Hub<T>,
     items: &mut Vec<SweepItem>,
 ) -> Result<(), SimError> {
-    let mut got = vec![false; shards];
+    let mut got = vec![false; hub.gone.len()];
     while got.iter().any(|g| !g) {
         let Some((shard, inbound)) = hub.recv() else {
-            return Err(wire_err("every shard reader exited mid-flush"));
+            return Err(wire_err("every shard fell silent mid-flush"));
         };
         match inbound {
-            Inbound::Gone => return Err(hub.died(shard)),
+            Inbound::Gone => return Err(hub.link.stopped(shard)),
             Inbound::Frame(K_VERDICTS, payload) => {
                 if got[shard] {
                     return Err(wire_err("shard flushed the same round twice"));
@@ -1095,7 +1191,7 @@ fn gather_verdicts(
                 }
                 got[shard] = true;
             }
-            Inbound::Frame(K_ERROR, payload) => return Err(hub.reported(&payload)),
+            Inbound::Frame(K_ERROR, payload) => return Err(reported(&payload)),
             Inbound::Frame(..) => return Err(wire_err("unexpected frame kind during a flush")),
         }
     }
@@ -1114,10 +1210,11 @@ struct AggStats {
 
 /// Halts every shard and folds their [`K_STATS`] reports: additive
 /// counters sum; residency high-water marks take the max (per-shard
-/// budgets bind per shard, and thread-mode shards all report the same
+/// budgets bind per shard, and in-process shards all report the same
 /// shared intern tables).
-fn drain_stats(hub: &mut Hub, shards: usize) -> AggStats {
+fn drain_stats<T: Transport>(hub: &mut Hub<T>) -> AggStats {
     hub.halt_all();
+    let shards = hub.gone.len();
     let mut agg = AggStats::default();
     let mut got = vec![false; shards];
     while (0..shards).any(|s| !got[s] && !hub.gone[s]) {
@@ -1158,12 +1255,12 @@ fn link_of(idx: u64) -> usize {
 /// happens here, single-threaded, on the merge sweep's totally ordered
 /// stream; shards only influence *when* verdicts arrive, never what the
 /// sweep does with them.
-fn coordinate_loop(
-    hub: &mut Hub,
-    shards: usize,
+fn coordinate_loop<T: Transport>(
+    hub: &mut Hub<T>,
     limits: &ExploreLimits,
     root_violation: Option<ExploreOutcome>,
 ) -> Result<(ExploreOutcome, ExploreStats), SimError> {
+    let shards = hub.gone.len();
     let mut configs = 1usize; // the root
     let mut links: Vec<Link> = Vec::new();
     let mut complete = true;
@@ -1173,7 +1270,7 @@ fn coordinate_loop(
     macro_rules! finish {
         ($outcome:expr) => {{
             let outcome = $outcome;
-            let agg = drain_stats(hub, shards);
+            let agg = drain_stats(hub);
             return Ok((
                 outcome,
                 ExploreStats {
@@ -1185,10 +1282,9 @@ fn coordinate_loop(
                     seen_resident_bytes: agg.seen_resident,
                     intern_resident_bytes: agg.intern_resident,
                     fpset_disk_bytes: agg.fpset_disk,
-                    checkpoint_bytes: 0,
-                    checkpoint_ms: 0,
                     frames_exchanged: hub.frames_exchanged,
                     frame_bytes: hub.frame_bytes,
+                    ..ExploreStats::default()
                 },
             ));
         }};
@@ -1206,13 +1302,14 @@ fn coordinate_loop(
         // layers cut mid-sweep never reach here.
         frontier_peak = frontier_peak.max(frontier_len);
         let expand = depth_reached < limits.depth;
-        hub.broadcast(K_ROUND, &[u8::from(expand)])?;
-        let (any_active, mut items) = gather_round(hub, shards)?;
+        let wide = frontier_len >= MIN_PARALLEL_CONFIGS;
+        hub.broadcast(K_ROUND, &[u8::from(expand)], wide)?;
+        let (any_active, mut items) = gather_round(hub)?;
         if !expand && any_active {
             complete = false;
         }
-        hub.broadcast(K_FLUSH, &[])?;
-        gather_verdicts(hub, shards, &mut items)?;
+        hub.broadcast(K_FLUSH, &[], wide)?;
+        gather_verdicts(hub, &mut items)?;
         items.sort_by_key(SweepItem::key);
         let mut per_shard: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
         let mut round_links: Vec<(u64, u64)> = Vec::new();
@@ -1224,10 +1321,10 @@ fn coordinate_loop(
                         schedule: schedule_of(&links, link_of(idx)),
                     });
                 }
-                SweepItem::Failed { idx, msg } => {
+                SweepItem::Failed { shard, idx, msg } => {
                     let err = hub
-                        .side
-                        .and_then(|sc| sc.take(idx))
+                        .link
+                        .exact(shard, Some(idx))
                         .unwrap_or(SimError::Spill { detail: msg });
                     hub.halt_all();
                     return Err(err);
@@ -1285,36 +1382,21 @@ fn coordinate_loop(
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Stats for a root-violation exit taken before any shard machinery runs.
-fn root_stats() -> ExploreStats {
-    ExploreStats {
-        configs: 1,
-        frontier_peak: 1,
-        depth_reached: 0,
-        bytes_spilled: 0,
-        peak_resident_bytes: 0,
-        seen_resident_bytes: 0,
-        intern_resident_bytes: 0,
-        fpset_disk_bytes: 0,
-        checkpoint_bytes: 0,
-        checkpoint_ms: 0,
-        frames_exchanged: 0,
-        frame_bytes: 0,
-    }
-}
-
-/// Sharded exploration within one process: shard threads partition the
-/// fingerprint space and exchange candidates over socketpairs with a
-/// coordinator on the calling thread, in the same frames process shards
-/// use ([`shard_serve`]). Outcomes and semantic stats
-/// are bit-identical to [`crate::checker::explore_stats`] and
+/// Sharded exploration within one process: shards sharing one
+/// [`PackedCtx`] partition the fingerprint space, and the coordinator on
+/// the calling thread delivers each message by calling its owner's
+/// handler directly — the messages process shards exchange as frames
+/// ([`shard_serve`]), with no socket in between. Rounds whose frontier
+/// reaches the packed engine's parallel threshold run the shards on
+/// scoped threads; narrower ones spawn nothing. Outcomes and semantic
+/// stats are bit-identical to [`crate::checker::explore_stats`] and
 /// [`crate::reference::reference_explore`] at any `shards × workers ×
 /// memory_budget` — see the module docs for the argument.
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] exactly as the single-process engines do, plus
-/// [`SimError::Spill`]-wrapped wire failures if a shard dies.
+/// Propagates [`SimError`] exactly as the single-process engines do,
+/// including the exact value of a shard-local failure.
 ///
 /// # Panics
 ///
@@ -1333,34 +1415,25 @@ where
     let ctx = machine.packed_ctx();
     let root = machine.pack(&ctx);
     if let Some(violation) = decision_violation(&machine, inputs, NO_LINK, &[]) {
-        return Ok((violation, root_stats()));
+        let stats = ExploreStats {
+            configs: 1,
+            frontier_peak: 1,
+            ..ExploreStats::default()
+        };
+        return Ok((violation, stats));
     }
-    let side = SideChannel::new();
-    let mut coord_ends = Vec::with_capacity(cfg.shards);
-    let mut shard_ends = Vec::with_capacity(cfg.shards);
-    for _ in 0..cfg.shards {
-        let (coord, shard) =
-            UnixStream::pair().map_err(|e| wire_err(format_args!("socketpair: {e}")))?;
-        coord_ends.push(coord);
-        shard_ends.push(shard);
-    }
-    std::thread::scope(|scope| {
-        for (shard, sock) in shard_ends.into_iter().enumerate() {
-            let ctx = &ctx;
-            let side = &side;
-            let root = root.clone();
-            let scfg = ShardCfg {
-                shard,
-                shards: cfg.shards,
-                workers: cfg.workers,
-                symmetric: cfg.symmetric,
-            };
-            scope.spawn(move || shard_loop(ctx, root, inputs, limits, scfg, sock, Some(side)));
-        }
-        let mut hub =
-            Hub::new(coord_ends, Some(&side)).map_err(|e| wire_err(format_args!("hub: {e}")))?;
-        coordinate_loop(&mut hub, cfg.shards, &limits, None)
-    })
+    let shards = (0..cfg.shards)
+        .map(|shard| match Shard::new(&ctx, root.clone(), inputs, limits, cfg, shard) {
+            Ok(state) => Ok(Ok(state)),
+            Err(exit) => Err(exit.into_error(shard)),
+        })
+        .collect::<Result<_, _>>()?;
+    let local = Local {
+        shards,
+        inbox: VecDeque::new(),
+    };
+    let mut hub = Hub::new(local, cfg.shards);
+    coordinate_loop(&mut hub, &limits, None)
 }
 
 /// Multi-process coordinator: drives already-connected shard processes
@@ -1392,8 +1465,8 @@ pub fn coordinate<P: Protocol>(
     );
     let machine = Machine::start(protocol, inputs)?;
     let root_violation = decision_violation(&machine, inputs, NO_LINK, &[]);
-    let mut hub = Hub::new(shard_streams, None).map_err(|e| wire_err(format_args!("hub: {e}")))?;
-    coordinate_loop(&mut hub, cfg.shards, &limits, root_violation)
+    let sockets = Sockets::new(shard_streams).map_err(|e| wire_err(format_args!("hub: {e}")))?;
+    coordinate_loop(&mut Hub::new(sockets, cfg.shards), &limits, root_violation)
 }
 
 /// Shard-process entry point: builds the protocol's packed context,
@@ -1427,13 +1500,7 @@ where
     encode_frame(K_HELLO, &hello, &mut wire);
     sock.write_all(&wire)
         .map_err(|e| wire_err(format_args!("hello: {e}")))?;
-    let scfg = ShardCfg {
-        shard,
-        shards: cfg.shards,
-        workers: cfg.workers,
-        symmetric: cfg.symmetric,
-    };
-    shard_loop(&ctx, root, inputs, limits, scfg, sock, None);
+    shard_loop(&ctx, root, inputs, limits, cfg, shard, sock);
     Ok(())
 }
 
@@ -1652,62 +1719,59 @@ mod tests {
     #[test]
     fn thread_and_process_shards_speak_one_wire() {
         // Drive the process-shard discipline without spawning processes:
-        // each shard thread builds its own packed context, exactly as a
-        // child process would. The thread mode (one shared context) must
-        // then move the very same frames: one wire format, not two.
-        let protocol = MaxRegConsensus::new(2);
-        let inputs = [0u64, 1];
-        let limits = ExploreLimits {
-            depth: 8,
-            max_configs: 100_000,
-            solo_check_budget: None,
-            memory_budget: None,
-            checkpoint_every: None,
-        };
-        let oracle = reference_explore(&protocol, &inputs, limits).unwrap();
-        for shards in [1usize, 2, 3] {
-            let (coord_ends, shard_ends): (Vec<_>, Vec<_>) =
-                (0..shards).map(|_| UnixStream::pair().unwrap()).unzip();
-            let cfg = DistConfig {
-                shards,
-                workers: 1,
-                symmetric: false,
+        // each socket shard runs on a thread and builds its own packed
+        // context, exactly as a child process would. In-process shards (one
+        // shared context, direct calls) must then count the very same
+        // frames. The n = 4 row's rounds reach the parallel threshold, so
+        // there the in-process shards run their handlers on threads.
+        for (n, depth) in [(2, 8), (4, 10)] {
+            let protocol = MaxRegConsensus::new(n);
+            let inputs: Vec<u64> = (0..n as u64).collect();
+            let limits = ExploreLimits {
+                depth,
+                ..ExploreLimits::default()
             };
-            let separate = std::thread::scope(|scope| {
-                for (shard, sock) in shard_ends.into_iter().enumerate() {
-                    let protocol = &protocol;
-                    let inputs = &inputs;
-                    scope.spawn(move || {
-                        let machine = Machine::start(protocol, inputs).unwrap();
-                        let ctx = machine.packed_ctx();
-                        let root = machine.pack(&ctx);
-                        let scfg = ShardCfg {
-                            shard,
-                            shards,
-                            workers: 1,
-                            symmetric: false,
-                        };
-                        shard_loop(&ctx, root, inputs, limits, scfg, sock, None);
-                    });
-                }
-                coordinate(&protocol, &inputs, limits, cfg, coord_ends)
-            })
-            .unwrap();
-            assert_eq!(separate, oracle, "own contexts diverged at {shards} shards");
-            let shared = explore_sharded(&protocol, &inputs, limits, cfg).unwrap();
-            assert_eq!(shared, oracle, "shared context diverged at {shards} shards");
-            assert_eq!(
-                shared.1.frames_exchanged, separate.1.frames_exchanged,
-                "frame count differs between the modes at {shards} shards"
-            );
-            // Only the closing K_STATS residency varints may differ in
-            // length (shared vs per-shard contexts): 5 × 9 bytes per shard.
-            assert!(
-                shared.1.frame_bytes.abs_diff(separate.1.frame_bytes) <= 45 * shards as u64,
-                "frame bytes differ between the modes at {shards} shards: {} vs {}",
-                shared.1.frame_bytes,
-                separate.1.frame_bytes
-            );
+            let oracle = reference_explore(&protocol, &inputs, limits).unwrap();
+            if n == 4 {
+                assert!(oracle.1.frontier_peak >= MIN_PARALLEL_CONFIGS, "{:?}", oracle.1);
+            }
+            for shards in [1usize, 2, 3] {
+                let (coord_ends, shard_ends): (Vec<_>, Vec<_>) =
+                    (0..shards).map(|_| UnixStream::pair().unwrap()).unzip();
+                let cfg = DistConfig {
+                    shards,
+                    workers: 1,
+                    symmetric: false,
+                };
+                let separate = std::thread::scope(|scope| {
+                    for (shard, sock) in shard_ends.into_iter().enumerate() {
+                        let (protocol, inputs) = (&protocol, &inputs);
+                        scope.spawn(move || {
+                            let machine = Machine::start(protocol, inputs).unwrap();
+                            let ctx = machine.packed_ctx();
+                            let root = machine.pack(&ctx);
+                            shard_loop(&ctx, root, inputs, limits, cfg, shard, sock);
+                        });
+                    }
+                    coordinate(&protocol, &inputs, limits, cfg, coord_ends)
+                })
+                .unwrap();
+                assert_eq!(separate, oracle, "n = {n}: own contexts diverged at {shards} shards");
+                let shared = explore_sharded(&protocol, &inputs, limits, cfg).unwrap();
+                assert_eq!(shared, oracle, "n = {n}: shared context diverged at {shards} shards");
+                assert_eq!(
+                    shared.1.frames_exchanged, separate.1.frames_exchanged,
+                    "n = {n}: frame count differs between the modes at {shards} shards"
+                );
+                // Only the closing K_STATS residency varints may differ in
+                // length (shared vs per-shard contexts): 5 × 9 bytes per shard.
+                assert!(
+                    shared.1.frame_bytes.abs_diff(separate.1.frame_bytes) <= 45 * shards as u64,
+                    "n = {n}: frame bytes differ between the modes at {shards} shards: {} vs {}",
+                    shared.1.frame_bytes,
+                    separate.1.frame_bytes
+                );
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! A [`FpSet`] answers exactly one question — "has this 128-bit fingerprint
 //! been admitted before?" — with **exact** membership semantics, while
 //! keeping its RAM footprint inside the run's shared
-//! [`memory budget`](crate::ExploreLimits::memory_budget). Three tiers:
+//! [`memory budget`](crate::checker::ExploreLimits::memory_budget). Three tiers:
 //!
 //! 1. A **Bloom front** sized from the expected config count. A miss proves
 //!    the fingerprint is new (no bits can un-set), so the common case on the
@@ -21,7 +21,7 @@
 //!    self-deleting [`SpillArena`](crate::frontier), each with a sparse
 //!    in-RAM index (one fingerprint per 4 KiB block). A probe binary-searches
 //!    the index, reads one block — through a small LRU block cache — and
-//!    binary-searches the block. When [`MAX_RUNS`] pile up they are k-way
+//!    binary-searches the block. When `MAX_RUNS` pile up they are k-way
 //!    merged into one run with bounded buffers.
 //!
 //! A Bloom false positive therefore costs at most one hot probe plus one
@@ -33,7 +33,7 @@
 //! # Run wire format
 //!
 //! A run is `count` fingerprints as raw 16-byte little-endian words,
-//! strictly increasing. No header: the in-RAM [`Run`] record carries the
+//! strictly increasing. No header: the in-RAM `Run` record carries the
 //! segment offsets and count, and [`decode_run`] validates length and
 //! ordering when bytes are read back. Compacted runs are written in 4096-
 //! fingerprint segments (64 KiB appends) so merge output interleaves with

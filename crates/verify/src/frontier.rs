@@ -318,7 +318,7 @@ fn writer_loop(shared: Arc<WriterShared>) {
 /// Writes are **double-buffered**: [`SpillArena::append`] reserves the run's
 /// offset, hands the encoded bytes to a background writer thread and returns
 /// immediately, so the caller encodes its next run while this one's IO is in
-/// flight. At most [`MAX_PENDING_WRITES`] runs queue before an append blocks.
+/// flight. At most `MAX_PENDING_WRITES` runs queue before an append blocks.
 /// Reads never wait for the writer: a run still queued or mid-write is
 /// served from its in-memory buffer, and durable bytes are read with
 /// positioned IO that cannot race the writer's positioned writes. IO
@@ -351,7 +351,7 @@ impl SpillArena {
 
     /// Queues `bytes` for appending and returns their reserved offset. The
     /// write itself happens on the background writer thread; this call only
-    /// blocks when [`MAX_PENDING_WRITES`] runs are already queued.
+    /// blocks when `MAX_PENDING_WRITES` runs are already queued.
     ///
     /// # Errors
     ///

@@ -39,7 +39,7 @@
 //!   boundary, written atomically on the [`checker::ExploreLimits::checkpoint_every`]
 //!   cadence so a killed run resumes bit-identically at any worker count and
 //!   memory budget;
-//! - [`reference`] — a clone-everything BFS with independently implemented
+//! - [`reference`](mod@reference) — a clone-everything BFS with independently implemented
 //!   hashing and traversal, mirroring the frontier engine's semantics
 //!   bit-for-bit: the differential-testing oracle the conformance fuzzer
 //!   diffs the fast engine against;

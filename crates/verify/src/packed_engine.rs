@@ -11,7 +11,7 @@
 //!   solo probes and walks its outgoing edges with the *read-only*
 //!   [`PackedCtx::edge_digest`] preview, through a thread-local memoised
 //!   [`PackedCache`] over the shared intern tables. It returns the solo
-//!   verdict, `has_active` and one `(pid, fp)` [`Edge`] per active pid —
+//!   verdict, `has_active` and one `(pid, fp)` `Edge` per active pid —
 //!   never a successor state — and publishes the whole batch as **one**
 //!   reorder-buffer record keyed by the batch's first admission index.
 //! - The **committer** (the calling thread) takes those records in
@@ -892,8 +892,7 @@ where
                 fpset_disk_bytes: admit.fpset_disk_bytes(),
                 checkpoint_bytes: ckpt_bytes,
                 checkpoint_ms: ckpt_ms,
-                frames_exchanged: 0,
-                frame_bytes: 0,
+                ..ExploreStats::default()
             }
         };
     }

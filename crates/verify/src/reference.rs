@@ -75,15 +75,7 @@ pub fn reference_explore<P: Protocol>(
                 depth_reached: depth,
                 // The oracle keeps everything live on purpose (collision
                 // detection); it neither budgets, spills nor interns.
-                bytes_spilled: 0,
-                peak_resident_bytes: 0,
-                seen_resident_bytes: 0,
-                intern_resident_bytes: 0,
-                fpset_disk_bytes: 0,
-                checkpoint_bytes: 0,
-                checkpoint_ms: 0,
-                frames_exchanged: 0,
-                frame_bytes: 0,
+                ..ExploreStats::default()
             }
         };
     }

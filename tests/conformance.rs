@@ -40,14 +40,13 @@ fn ci_matrix() -> [(&'static str, ConformanceConfig); 10] {
     };
     [
         ("4 workers, symmetry on", base),
-        // `workers <= 1` routes the fan-out side to the same sequential
-        // engine call, so this column diffs that engine against itself. It
-        // stays because it is `Explorer::new()`'s setting (one worker, no
-        // symmetry reduction) and the matrix keeps every column.
+        // The fewest workers that still reach the parallel engine
+        // (`workers <= 1` would diff the sequential engine against itself),
+        // with symmetry reduction off as in `Explorer::new()`.
         (
-            "1 worker, symmetry off",
+            "2 workers, symmetry off",
             ConformanceConfig {
-                explorer_workers: 1,
+                explorer_workers: 2,
                 symmetry: false,
                 ..base
             },

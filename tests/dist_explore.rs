@@ -7,15 +7,20 @@
 //! (whose schedules must replay verbatim), config-capped runs and shallow
 //! horizons. The per-shard budget column forces every shard through the
 //! spill, disk-run and interner-eviction paths while the never-spilling
-//! reference still dictates the exact answer.
+//! reference still dictates the exact answer. A protocol that steps out of
+//! bounds pins the error path: the sharded run must return the very
+//! `SimError` the single-process engine does.
 
+use space_hierarchy::model::{
+    Action, Instruction, InstructionSet, MemorySpec, ModelError, Op, Process, Protocol, Value,
+};
 use space_hierarchy::protocols::cas::CasConsensus;
 use space_hierarchy::protocols::maxreg::MaxRegConsensus;
+use space_hierarchy::sim::SimError;
 use space_hierarchy::verify::checker::{explore_stats, ExploreLimits, ExploreOutcome};
 use space_hierarchy::verify::dist::{explore_sharded, DistConfig};
 use space_hierarchy::verify::reference::reference_explore;
 use space_hierarchy::verify::strawmen::{OneMaxRegister, OneRegister};
-use space_hierarchy::model::Protocol;
 
 /// Diffs `explore_sharded` against the reference BFS over the whole
 /// shard/worker matrix, at the given budget.
@@ -179,6 +184,97 @@ fn sharded_fan_out_is_bit_identical() {
                 dist, oracle,
                 "diverged at {shards} shards x {workers} workers"
             );
+        }
+    }
+}
+
+/// A process on one `{read, write}` location that never decides: its first
+/// `k - 1` steps write a pid- and step-dependent value to location 0, and
+/// step `k` writes location 1, past the end of the memory.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct StrayProc {
+    pid: u64,
+    steps: u64,
+    k: u64,
+}
+
+impl Process for StrayProc {
+    fn action(&self) -> Action {
+        let loc = usize::from(self.steps + 1 >= self.k);
+        let value = 10 * self.pid + self.steps;
+        Action::Invoke(Op::single(loc, Instruction::write(value)))
+    }
+
+    fn absorb(&mut self, _result: Value) {
+        self.steps += 1;
+    }
+}
+
+/// Three [`StrayProc`]s that step out of bounds at step `k`.
+struct Stray {
+    k: u64,
+}
+
+impl Protocol for Stray {
+    type Proc = StrayProc;
+
+    fn name(&self) -> String {
+        "strawman-stray".into()
+    }
+
+    fn n(&self) -> usize {
+        3
+    }
+
+    fn domain(&self) -> u64 {
+        2
+    }
+
+    fn memory_spec(&self) -> MemorySpec {
+        MemorySpec::bounded(InstructionSet::ReadWrite, 1)
+    }
+
+    fn spawn(&self, pid: usize, _input: u64) -> StrayProc {
+        StrayProc {
+            pid: pid as u64,
+            steps: 0,
+            k: self.k,
+        }
+    }
+}
+
+#[test]
+fn sharded_errors_are_the_engines_exact_values() {
+    // The error must be the typed value itself, not a rendering: shards
+    // expand the failing layer in parallel, and the coordinator's sweep
+    // picks the failure the engine meets first.
+    let limits = ExploreLimits {
+        depth: 10,
+        ..ExploreLimits::default()
+    };
+    let inputs = [0, 1, 0];
+    for k in [1, 2, 4] {
+        let protocol = Stray { k };
+        let expected = explore_stats(&protocol, &inputs, limits).expect_err("the engine must fail");
+        assert!(
+            matches!(
+                expected,
+                SimError::Model {
+                    source: ModelError::OutOfBounds { loc: 1, len: 1 },
+                    ..
+                }
+            ),
+            "k = {k}: {expected:?}"
+        );
+        for shards in [1, 2, 3] {
+            let cfg = DistConfig {
+                shards,
+                workers: 1,
+                symmetric: false,
+            };
+            let err = explore_sharded(&protocol, &inputs, limits, cfg)
+                .expect_err("the sharded run must fail");
+            assert_eq!(err, expected, "k = {k} at {shards} shards");
         }
     }
 }

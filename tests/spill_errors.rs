@@ -86,9 +86,9 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
     let _ = std::fs::remove_file(&checkpoint);
 
     // -- in-process shards ----------------------------------------------------
-    // Each shard thread owns its own arenas and reports the failure through
-    // the side channel, whether it fails before or after the coordinator's
-    // first frame reaches it; the coordinator must not wait on it forever.
+    // Each in-process shard owns its own arenas, and its handler's error
+    // reaches the caller as the exact value, whether the shard fails while
+    // it is built or mid-round; the coordinator must not wait on it.
     for shards in [1, 2, 3] {
         let cfg = DistConfig {
             shards,
