@@ -9,8 +9,13 @@
 //! - A3: the randomized wait-free transform's turn overhead versus direct
 //!   adversarial scheduling ([GHHW13]).
 //! - A4: Lemma 8.7 — the swap protocol's solo scan count is ≤ 3n−2, measured.
+//! - A5: the explorer's process-symmetry reduction on an anonymous protocol
+//!   with duplicated inputs, against the plain exploration.
 //! - F1: Figure 1 — the history-object reconstruction on the paper's
 //!   ℓ-concurrent-appends overlap pattern.
+//!
+//! Explorer throughput per Table-1 row (worker counts, spilling, shards) is
+//! the `bench_explore` bin's job, not Criterion's.
 
 use cbh_bench::{contended_run, spread_inputs};
 use cbh_core::buffer::{buffer_consensus, reconstruct_history, BufferCounterFamily, Record};
@@ -18,9 +23,11 @@ use cbh_core::counter::{
     AddCounterFamily, AddFlavor, MultiplyCounterFamily, MultiplyFlavor,
 };
 use cbh_core::racing::RacingConsensus;
+use cbh_core::maxreg::MaxRegConsensus;
 use cbh_core::swap::SwapConsensus;
 use cbh_model::Value;
 use cbh_random::{run_randomized, RandomizedConfig};
+use cbh_verify::checker::{ExploreLimits, Explorer};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn configure() -> Criterion {
@@ -82,7 +89,7 @@ fn a3_randomized_transform(c: &mut Criterion) {
     let mut g = c.benchmark_group("a3_randomized_wait_free");
     for n in [3usize, 5, 8] {
         g.bench_with_input(BenchmarkId::new("oblivious", n), &n, |b, &n| {
-            let protocol = cbh_core::maxreg::MaxRegConsensus::new(n);
+            let protocol = MaxRegConsensus::new(n);
             let inputs = spread_inputs(n);
             let mut seed = 0;
             b.iter(|| {
@@ -91,7 +98,7 @@ fn a3_randomized_transform(c: &mut Criterion) {
             });
         });
         g.bench_with_input(BenchmarkId::new("adversarial", n), &n, |b, &n| {
-            let protocol = cbh_core::maxreg::MaxRegConsensus::new(n);
+            let protocol = MaxRegConsensus::new(n);
             let inputs = spread_inputs(n);
             let mut seed = 0;
             b.iter(|| {
@@ -117,6 +124,25 @@ fn a4_swap_solo_scans(c: &mut Criterion) {
                 assert!(machine.steps() <= bound);
                 machine.steps()
             });
+        });
+    }
+    g.finish();
+}
+
+fn a5_symmetry_reduction(c: &mut Criterion) {
+    // Anonymous protocol with duplicated inputs: the quotiented frontier is
+    // the same verdict over a fraction of the states.
+    let protocol = MaxRegConsensus::new(3);
+    let inputs = [0u64, 0, 1];
+    let limits = ExploreLimits {
+        depth: 10,
+        ..ExploreLimits::default()
+    };
+    let mut g = c.benchmark_group("explore_symmetry");
+    for (label, reduced) in [("plain", false), ("reduced", true)] {
+        let explorer = Explorer::new().limits(limits).symmetry_reduction(reduced);
+        g.bench_function(format!("{label}/maxreg_n3_d10"), |b| {
+            b.iter(|| explorer.explore(&protocol, &inputs).unwrap());
         });
     }
     g.finish();
@@ -188,6 +214,7 @@ criterion_group! {
         a2_multi_assign,
         a3_randomized_transform,
         a4_swap_solo_scans,
+        a5_symmetry_reduction,
         f1_history_reconstruction,
         row6_ell_sweep_consensus,
 }

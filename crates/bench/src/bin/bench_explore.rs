@@ -4,7 +4,7 @@
 //! work-stealing engine at 1/2/4/8 workers, plus a **spilling** run
 //! (frontier memory budget pinned to 10% of the unbounded run's observed
 //! resident peak) and a **deep-horizon** row (≥10⁶ configs, where
-//! claim-table occupancy and intern-cache hit rates actually matter), and
+//! seen-set occupancy and intern-cache hit rates actually matter), and
 //! emits machine-readable `BENCH_explore.json` (schema `bench_explore/v8`:
 //! configs/sec per row × engine × worker count, the w8-vs-w1 speedup, the
 //! host's `hw_threads`, and per-row memory telemetry: `peak_resident_bytes`,
@@ -422,10 +422,9 @@ where
 /// and 8 workers only. The 2/4-worker and spill cells are skipped so the
 /// row does not dominate the whole harness (the memory-budget suites
 /// already pin spilling semantics). What the row *does* reach is the regime
-/// the small rows can't: claim-table occupancy high enough for real probe
-/// chains, intern tables big enough that the per-worker caches are
-/// load-bearing, and a frontier wide enough for adaptive batching to leave
-/// its minimum.
+/// the small rows can't: a seen set millions of entries deep, intern
+/// tables big enough that the per-worker caches are load-bearing, and a
+/// frontier wide enough for adaptive batching to leave its minimum.
 fn bench_deep_row<P: Protocol>(
     name: &'static str,
     protocol: P,
@@ -443,8 +442,8 @@ where
         memory_budget: None,
         checkpoint_every: None,
     };
-    // Conformance gate at full scale: the racing claim path must reproduce
-    // the sequential committer bit-for-bit. These two runs double as the
+    // Conformance gate at full scale: the pool must reproduce the
+    // sequential committer bit-for-bit. These two runs double as the
     // warm-ups for the timed cells below.
     let w1 = run_engine(&protocol, inputs, limits, 1);
     let w8 = run_engine(&protocol, inputs, limits, 8);

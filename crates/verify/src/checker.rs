@@ -30,12 +30,12 @@
 //! and every engine — this one and the sharded [`crate::dist`] explorer —
 //! must agree with it bit for bit.
 
+use crate::fpset::FpHashSet;
 use crate::packed_engine;
 use crate::packed_engine::CheckpointCfg;
 use crate::snapshot::{Snapshot, SnapshotError};
 use cbh_model::{Process, Protocol};
 use cbh_sim::{Machine, SimError};
-use std::collections::HashSet;
 use std::path::PathBuf;
 
 /// What the exhaustive exploration found.
@@ -123,8 +123,8 @@ pub struct ExploreStats {
     /// reorder buffer, seen set and intern tables (telemetry; the figure to
     /// derive a [`ExploreLimits::memory_budget`] from).
     pub peak_resident_bytes: usize,
-    /// Resident bytes of the seen set (exact `HashSet` estimate, or the
-    /// tiered store's hot table + Bloom + run indexes) when the run ended
+    /// Resident bytes of the seen set (the exact hash table's real size, or
+    /// the tiered store's hot table + Bloom + run indexes) when the run ended
     /// (telemetry).
     pub seen_resident_bytes: usize,
     /// Resident bytes of the shared intern tables when the run ended
@@ -444,9 +444,10 @@ impl Explorer {
     }
 
     /// Number of pool threads previewing frontier entries (the pool is not
-    /// layer-synchronous). `1` (the default) stays on the calling thread,
-    /// as does any space of at most 1024 configurations whatever the count;
-    /// the outcome is the same either way.
+    /// layer-synchronous). `1` (the default) stays on the calling thread.
+    /// At any count a run starts there too, and starts the pool only once
+    /// its live frontier holds 1024 nodes; a narrower run never spawns a
+    /// thread. The outcome is the same either way.
     ///
     /// # Panics
     ///
@@ -678,7 +679,7 @@ pub fn can_decide_stats<Proc: Process>(
     if decides(&mut cache, &root) {
         return Ok((true, 1));
     }
-    let mut seen: HashSet<u128> = HashSet::new();
+    let mut seen = FpHashSet::default();
     seen.insert(ctx.digest_cached(&mut cache, &root, false));
     let mut frontier = vec![root];
     for _ in 0..depth {

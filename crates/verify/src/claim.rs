@@ -1,21 +1,13 @@
-//! Lock-free claim table: the parallel explorer's committed seen set.
+//! Lock-free claim table: a fixed-capacity concurrent fingerprint set.
 //!
-//! On unbudgeted parallel runs the packed engine's committer needs an
-//! *authoritative* admitted set: exactly one admission per fingerprint, in
-//! the deterministic order it processes results. [`ClaimTable`] serves it:
-//! a fixed-capacity open-addressing table of `AtomicU64` pairs (the two
-//! halves of each 128-bit fingerprint) plus a committed bitmap that
-//! [`ClaimTable::admit`] sets. The engine's workers are pure edge previews
-//! and never touch the table, so it has a **single writer**. It is kept
-//! over the hashed `SeenBackend` set even so: a probe is a
-//! masked slot index taken straight from the fingerprint's bits and a
-//! couple of loads, with no rehashing. Budgeted runs admit into the tiered
-//! [`crate::fpset::FpSet`] instead.
-//!
-//! The table stays safe for concurrent writers. [`ClaimTable::claim`], an
-//! insert that does not admit, is kept for the benchmark's `claim.*` layer
-//! metrics and the property tests that race it against `admit`; the
-//! arguments below are what make those races exactly-once.
+//! No exploration engine uses it: every engine admits into the seen set of
+//! `crate::fpset` (an exact hash set, or the tiered [`crate::fpset::FpSet`]
+//! under a memory budget). [`ClaimTable`] stays only for its two remaining
+//! users, the benchmark's `claim.*` layer metrics and the `claim_props`
+//! property tests, which race [`ClaimTable::claim`] (an insert that does not
+//! admit) against [`ClaimTable::admit`] (an exactly-once admission recorded
+//! in a committed bitmap). The arguments below are what make those races
+//! exactly-once.
 //!
 //! # Layout and probe scheme
 //!
@@ -60,13 +52,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::fpset::MAX_RESERVED_SLOTS;
+
 /// Longest linear-probe run before an insertion falls back to the overflow
 /// map. Bounds worst-case work per claim on a degenerately full table.
 const PROBE_LIMIT: usize = 64;
-
-/// Hard cap on table slots (2²³ slots = 128 MiB of fingerprint words),
-/// so a huge `max_configs` cannot demand an absurd upfront allocation.
-const MAX_SLOTS: usize = 1 << 23;
 
 /// Where a fingerprint landed during a probe.
 enum Probe {
@@ -80,8 +70,7 @@ enum Probe {
 }
 
 /// A fixed-capacity, lock-free set of 128-bit fingerprints with a separate
-/// committed bitmap — the shared claim/seen structure of the parallel
-/// explorer. See the [module docs](self) for the design argument.
+/// committed bitmap. See the [module docs](self) for the design argument.
 pub struct ClaimTable {
     /// Interleaved slot halves: slot `i` = `(words[2i] = lo, words[2i+1] = hi)`.
     words: Vec<AtomicU64>,
@@ -96,14 +85,14 @@ pub struct ClaimTable {
 
 impl ClaimTable {
     /// A table sized for about `expected` distinct fingerprints (the
-    /// explorer passes `ExploreLimits::max_configs`). Allocates ~2 slots per
+    /// benchmark passes `ExploreLimits::max_configs`). Allocates ~2 slots per
     /// expected entry, clamped to [16, 2²³] slots, so probes stay short at
     /// the advertised fill.
     pub fn new(expected: usize) -> Self {
         let slots = expected
             .saturating_add(1)
             .saturating_mul(2)
-            .clamp(16, MAX_SLOTS)
+            .clamp(16, MAX_RESERVED_SLOTS)
             .next_power_of_two();
         ClaimTable {
             words: (0..slots * 2).map(|_| AtomicU64::new(0)).collect(),
@@ -208,32 +197,6 @@ impl ClaimTable {
                 !std::mem::replace(admitted, true)
             }
         }
-    }
-
-    /// Every fingerprint the committer admitted, in unspecified order
-    /// (checkpoint hook). Slots are committed via the bitmap; zero-half
-    /// fingerprints only ever live in the overflow map, so the two scans
-    /// together are exhaustive. Claims without an admission are excluded —
-    /// a snapshot records the committer's state.
-    pub fn committed_fps(&self) -> Vec<u128> {
-        let mut fps = Vec::new();
-        for slot in 0..=self.mask {
-            let bit = 1u64 << (slot % 64);
-            if self.committed[slot / 64].load(Ordering::Relaxed) & bit != 0 {
-                let lo = self.words[slot * 2].load(Ordering::Acquire);
-                let hi = self.words[slot * 2 + 1].load(Ordering::Acquire);
-                fps.push(((hi as u128) << 64) | lo as u128);
-            }
-        }
-        fps.extend(
-            self.overflow
-                .lock()
-                .unwrap()
-                .iter()
-                .filter(|(_, &admitted)| admitted)
-                .map(|(&fp, _)| fp),
-        );
-        fps
     }
 
     /// `true` if `fp` was ever claimed or admitted (test/diagnostic view).

@@ -108,7 +108,7 @@ use crate::checker::{
     decision_defect, decision_violation, schedule_of, Defect, ExploreLimits, ExploreOutcome,
     ExploreStats, Link, NO_LINK,
 };
-use crate::fpset::{AdmitSet, SeenBackend};
+use crate::fpset::SeenBackend;
 use crate::frontier::{FrontierStore, SpillCodec, SpillContext, SpillError};
 use crate::packed_engine::{
     cache_cap_of, expand_node, Edge, Node, NodeCodec, RunCfg, MIN_PARALLEL_CONFIGS,

@@ -10,13 +10,13 @@
 //!    the fingerprint is new (no bits can un-set), so the common case on the
 //!    admission path — a genuinely new configuration — costs four bit
 //!    probes and never touches the lower tiers.
-//! 2. A **hot table** of open-addressed `u128` slots with per-entry
-//!    insertion generations (the [`crate::claim::ClaimTable`] slot layout,
-//!    minus the atomics — the committer owns admission). It grows by
-//!    doubling while the shared tracker has budget headroom; once the
-//!    budget is hit it stays fixed and **evicts its oldest generations** to
-//!    disk instead. BFS duplicate edges overwhelmingly point at recent
-//!    layers, so the recency window keeps most duplicate probes in RAM.
+//! 2. A **hot table** of open-addressed `u128` slots, linearly probed from
+//!    the fingerprint's own bits, with per-entry insertion generations. It
+//!    grows by doubling while the shared tracker has budget headroom; once
+//!    the budget is hit it stays fixed and **evicts its oldest
+//!    generations** to disk instead. BFS duplicate edges overwhelmingly
+//!    point at recent layers, so the recency window keeps most duplicate
+//!    probes in RAM.
 //! 3. Immutable **sorted runs** of raw little-endian `u128`s in the
 //!    self-deleting [`SpillArena`](crate::frontier), each with a sparse
 //!    in-RAM index (one fingerprint per 4 KiB block). A probe binary-searches
@@ -40,9 +40,9 @@
 //! the double-buffered writer without ever buffering the merged run in RAM.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
-use crate::claim::ClaimTable;
 use crate::frontier::{MemTracker, SpillContext, SpillError};
 
 /// Fingerprints per sparse-index block: 256 × 16 bytes = one 4 KiB read.
@@ -66,9 +66,10 @@ const EVICT_MAX: usize = 1 << 16;
 /// territory cluster heavily (BFS diamonds), so a handful of blocks absorbs
 /// most repeat reads.
 const CACHE_BLOCKS: usize = 8;
-/// Estimated resident bytes per `HashSet<u128>` entry (payload + table
-/// slack at typical load factors) — the exact backend's accounting rate.
-pub(crate) const SEEN_ENTRY_EST: usize = 24;
+/// Most slots the exact seen set reserves up front (2²³ slots, 128 MiB of
+/// fingerprints), so a huge `max_configs` cannot demand an absurd
+/// allocation. Past a reserve the set still grows on demand.
+pub(crate) const MAX_RESERVED_SLOTS: usize = 1 << 23;
 
 /// Decodes one run (or run block) back from its wire bytes, validating the
 /// format: a whole number of 16-byte little-endian fingerprints in strictly
@@ -104,11 +105,34 @@ fn encode_run(fps: &[u128]) -> Vec<u8> {
     bytes
 }
 
-/// Folds a 128-bit fingerprint to the hot table's home-slot hash.
-/// Fingerprints are already avalanched, so xor-folding the halves is enough.
+/// Folds a 128-bit fingerprint to a 64-bit table hash. Fingerprints are
+/// already avalanched, so xor-folding the halves is enough.
 fn fold(fp: u128) -> usize {
     ((fp >> 64) as u64 ^ fp as u64) as usize
 }
+
+/// Hashes a fingerprint by its own bits ([`fold`]): a keyed SipHash over an
+/// already uniform digest only adds cost.
+#[derive(Default)]
+pub(crate) struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("FpHasher hashes u128 fingerprints only");
+    }
+
+    fn write_u128(&mut self, fp: u128) {
+        self.0 = fold(fp) as u64;
+    }
+}
+
+/// A set of fingerprints hashed by their own bits: the exact seen set of
+/// every engine.
+pub(crate) type FpHashSet = HashSet<u128, BuildHasherDefault<FpHasher>>;
 
 // ---------------------------------------------------------------------------
 // Sorted runs
@@ -832,35 +856,16 @@ impl Drop for FpSet {
 }
 
 // ---------------------------------------------------------------------------
-// AdmitSet
+// SeenBackend
 // ---------------------------------------------------------------------------
 
-/// How an exploration engine answers "is this configuration new?".
-///
-/// `admit` must behave exactly like `HashSet::insert` on the fingerprint
-/// stream — the committer's admission order (and thus every engine's
-/// bit-identical-to-reference guarantee) rides on the answer sequence.
-pub(crate) trait AdmitSet {
-    /// Records `fp`; `true` iff it was not already present.
-    fn admit(&mut self, fp: u128) -> Result<bool, SpillError>;
-
-    /// Estimated resident bytes of the seen set.
-    fn seen_resident_bytes(&self) -> usize;
-
-    /// Live bytes of evicted fingerprints on disk (tiered backend only).
-    fn fpset_disk_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Every admitted fingerprint, in unspecified order (checkpoint hook:
-    /// the snapshot stores sorted membership, not the physical tiering).
-    fn collect_fps(&self) -> Result<Vec<u128>, SpillError>;
-}
-
-/// The sequential engines' seen set: exact `HashSet` while unbudgeted (no
-/// behaviour or perf change), tiered [`FpSet`] under a memory budget.
+/// Every engine's seen set: an exact [`FpHashSet`] while unbudgeted, the
+/// tiered [`FpSet`] under a memory budget. `admit` behaves exactly like
+/// `HashSet::insert` with either, so the committer's admission order (and
+/// every engine's bit-identity to the reference) rides on the answers.
 pub(crate) enum SeenBackend {
-    Exact { set: HashSet<u128>, ctx: SpillContext },
+    /// `charged` is the table's real size, as last charged to `ctx`.
+    Exact { set: FpHashSet, ctx: SpillContext, charged: usize },
     Tiered(FpSet),
 }
 
@@ -871,42 +876,68 @@ impl SeenBackend {
         match ctx.budget() {
             Some(_) => SeenBackend::Tiered(FpSet::new(expected, ctx.clone())),
             None => SeenBackend::Exact {
-                set: HashSet::new(),
+                set: FpHashSet::default(),
                 ctx: ctx.clone(),
+                charged: 0,
             },
         }
     }
-}
 
-impl AdmitSet for SeenBackend {
-    fn admit(&mut self, fp: u128) -> Result<bool, SpillError> {
+    /// Charges the tracker for the exact table's growth. std's table keeps
+    /// 8 buckets per 7 of capacity (one spare below 8), each a 16-byte
+    /// fingerprint plus a control byte, and one 16-byte control group; it
+    /// never shrinks here.
+    fn recharge(set: &FpHashSet, ctx: &SpillContext, charged: &mut usize) {
+        let cap = set.capacity();
+        let now = if cap < 8 { cap + 1 } else { cap / 7 * 8 } * 17 + 16;
+        if now > *charged {
+            ctx.tracker().add_resident(now - *charged);
+            *charged = now;
+        }
+    }
+
+    /// Makes room for `expected` admissions in one allocation, capped at
+    /// [`MAX_RESERVED_SLOTS`], so a big run never rehashes on its way up.
+    /// A no-op for the tiered backend, which sizes itself from its budget.
+    pub(crate) fn reserve(&mut self, expected: usize) {
+        if let SeenBackend::Exact { set, ctx, charged } = self {
+            let room = expected.min(MAX_RESERVED_SLOTS / 8 * 7);
+            set.reserve(room.saturating_sub(set.len()));
+            Self::recharge(set, ctx, charged);
+        }
+    }
+
+    /// Records `fp`; `true` iff it was not already present.
+    pub(crate) fn admit(&mut self, fp: u128) -> Result<bool, SpillError> {
         match self {
-            SeenBackend::Exact { set, ctx } => {
+            SeenBackend::Exact { set, ctx, charged } => {
                 let new = set.insert(fp);
-                if new {
-                    ctx.tracker().add_resident(SEEN_ENTRY_EST);
-                }
+                Self::recharge(set, ctx, charged);
                 Ok(new)
             }
             SeenBackend::Tiered(fpset) => fpset.admit(fp),
         }
     }
 
-    fn seen_resident_bytes(&self) -> usize {
+    /// Resident bytes of the seen set.
+    pub(crate) fn seen_resident_bytes(&self) -> usize {
         match self {
-            SeenBackend::Exact { set, .. } => set.len() * SEEN_ENTRY_EST,
+            SeenBackend::Exact { charged, .. } => *charged,
             SeenBackend::Tiered(fpset) => fpset.resident_bytes(),
         }
     }
 
-    fn fpset_disk_bytes(&self) -> u64 {
+    /// Live bytes of evicted fingerprints on disk (tiered backend only).
+    pub(crate) fn fpset_disk_bytes(&self) -> u64 {
         match self {
             SeenBackend::Exact { .. } => 0,
             SeenBackend::Tiered(fpset) => fpset.disk_bytes(),
         }
     }
 
-    fn collect_fps(&self) -> Result<Vec<u128>, SpillError> {
+    /// Every admitted fingerprint, in unspecified order (checkpoint hook:
+    /// the snapshot stores sorted membership, not the physical tiering).
+    pub(crate) fn collect_fps(&self) -> Result<Vec<u128>, SpillError> {
         match self {
             SeenBackend::Exact { set, .. } => Ok(set.iter().copied().collect()),
             SeenBackend::Tiered(fpset) => fpset.collect_fps(),
@@ -916,23 +947,9 @@ impl AdmitSet for SeenBackend {
 
 impl Drop for SeenBackend {
     fn drop(&mut self) {
-        if let SeenBackend::Exact { set, ctx } = self {
-            ctx.tracker().sub_resident(set.len() * SEEN_ENTRY_EST);
+        if let SeenBackend::Exact { ctx, charged, .. } = self {
+            ctx.tracker().sub_resident(*charged);
         }
-    }
-}
-
-impl AdmitSet for &ClaimTable {
-    fn admit(&mut self, fp: u128) -> Result<bool, SpillError> {
-        Ok(ClaimTable::admit(self, fp))
-    }
-
-    fn seen_resident_bytes(&self) -> usize {
-        self.resident_bytes()
-    }
-
-    fn collect_fps(&self) -> Result<Vec<u128>, SpillError> {
-        Ok(self.committed_fps())
     }
 }
 

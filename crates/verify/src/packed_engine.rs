@@ -17,8 +17,9 @@
 //! - The **committer** (the calling thread) takes those records in
 //!   admission order, drains each locally, and replays, verbatim, the
 //!   sequential algorithm of the clone-based reference BFS: authoritative
-//!   admission (see [`crate::claim`]), `max_configs` accounting, violation
-//!   selection, parent-link construction, layer bookkeeping. It
+//!   admission into the run's one seen set (`crate::fpset`'s
+//!   `SeenBackend`), `max_configs` accounting, violation selection,
+//!   parent-link construction, layer bookkeeping. It
 //!   materialises every admitted child itself, with one memoised
 //!   `branch_step_cached` from the parent. Every order-sensitive decision is
 //!   made here, single-threaded, on a totally ordered stream. While a record
@@ -29,6 +30,13 @@
 //! buffer and the append-only intern tables: no claims, no speculative
 //! children, and one lock, one buffer insert and one tracker update per
 //! batch rather than per node.
+//!
+//! A pool only pays once a frontier is wide, so every run starts on the
+//! calling thread with the sequential engine's admission queue. The first
+//! time the live frontier holds `MIN_PARALLEL_CONFIGS` nodes, the run
+//! spawns its workers, deals them the queue in admission order and reserves
+//! room in the seen set for the whole run; a narrower run spawns no thread
+//! at all.
 //!
 //! # Determinism argument
 //!
@@ -68,8 +76,7 @@
 //! equality).
 
 use crate::checker::{schedule_of, ExploreLimits, ExploreOutcome, ExploreStats, Link, NO_LINK};
-use crate::claim::ClaimTable;
-use crate::fpset::{AdmitSet, SeenBackend};
+use crate::fpset::SeenBackend;
 use crate::frontier::{FrontierStore, ReorderBuffer, SpillCodec, SpillContext, SpillError};
 use crate::snapshot::{Snapshot, SnapshotError, NO_PARENT};
 use cbh_model::packed::delta::{read_varint, write_varint};
@@ -80,6 +87,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 // The snapshot wire format and the engine share the "no parent" sentinel, so
@@ -136,10 +144,10 @@ pub(crate) fn cache_cap_of(memory_budget: Option<usize>) -> Option<usize> {
     memory_budget.map(|b| (b / 8).max(64 * 1024))
 }
 
-/// Below this many configurations (a run's cap, or a shard's layer) thread
-/// spawns and hand-offs dominate real work, so the engines stay on the
-/// calling thread. Every parallel path is bit-identical to its sequential
-/// one by construction, so the threshold is unobservable in outcomes.
+/// Below this many frontier nodes (a run's live frontier, or a shard's
+/// layer) thread spawns and hand-offs dominate real work, so the engines
+/// stay on the calling thread. Every parallel path is bit-identical to its
+/// sequential one, so the threshold is unobservable in outcomes.
 pub(crate) const MIN_PARALLEL_CONFIGS: usize = 1024;
 
 /// One admitted configuration awaiting expansion.
@@ -490,12 +498,16 @@ fn expand_batch<P: Process>(
 /// The committer's view of the expansion machinery: it hands out tasks and
 /// asks for node results in admission order. Sequential and work-stealing
 /// implementations share the one committer, which is what makes them
-/// bit-identical. The authoritative seen set lives behind
-/// [`crate::fpset::AdmitSet`]; both are fallible because a budgeted run's
-/// queues and fingerprint store may touch disk.
+/// bit-identical. Both calls are fallible because a budgeted run's queues
+/// may touch disk.
 trait ResultSource<P: Process> {
     fn dispatch(&mut self, node: Node) -> Result<(), SimError>;
     fn take(&mut self, index: usize) -> Result<NodeResult, SimError>;
+    /// Called once, the first time the live frontier is wide; `true` if
+    /// that started a pool.
+    fn widen(&mut self) -> Result<bool, SimError> {
+        Ok(false)
+    }
 }
 
 /// In-process source: tasks run inline, in dispatch order, on the calling
@@ -508,6 +520,17 @@ struct SeqSource<'c, P: Process> {
     cfg: RunCfg,
     queue: FrontierStore<NodeCodec>,
     cache: PackedCache<P>,
+}
+
+impl<'c, P: Process> SeqSource<'c, P> {
+    fn new(ctx: &'c PackedCtx<P>, cfg: RunCfg, mem: &SpillContext) -> Self {
+        SeqSource {
+            ctx,
+            cfg,
+            queue: FrontierStore::new(NodeCodec, mem.clone()),
+            cache: PackedCache::new(),
+        }
+    }
 }
 
 impl<P: Process> ResultSource<P> for SeqSource<'_, P> {
@@ -666,7 +689,6 @@ struct PoolSource<'p, P: Process> {
     cfg: RunCfg,
     /// The committer's own intern cache, used when it helps expand.
     cache: PackedCache<P>,
-    workers: usize,
     next_deque: usize,
     /// Nodes admitted but not yet pushed to a deque; flushed as one batch.
     pending: Batch,
@@ -684,7 +706,7 @@ impl<P: Process> PoolSource<'_, P> {
     /// ones split into single nodes that spread across workers instead of
     /// queueing behind one.
     fn batch_target(&self) -> usize {
-        (self.outstanding / (4 * self.workers)).clamp(MIN_BATCH, MAX_BATCH)
+        (self.outstanding / (4 * self.pool.deques.len())).clamp(MIN_BATCH, MAX_BATCH)
     }
 
     fn flush(&mut self) -> Result<(), SimError> {
@@ -710,7 +732,7 @@ impl<P: Process> PoolSource<'_, P> {
     /// what `take` does instead of sleeping while its result is in flight.
     /// Returns `false` if every deque was empty.
     fn help(&mut self) -> Result<bool, SimError> {
-        let Some(batch) = self.pool.pop_batch(self.next_deque % self.workers)? else {
+        let Some(batch) = self.pool.pop_batch(self.next_deque % self.pool.deques.len())? else {
             return Ok(false);
         };
         let first = batch[0].index;
@@ -805,6 +827,55 @@ impl<P: Process> ResultSource<P> for PoolSource<'_, P> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Pools started on this thread: a test sees narrow runs never spawn.
+    static POOL_STARTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A parallel run's source: the inline [`SeqSource`] until the frontier is
+/// wide, then the pool, whose workers [`ResultSource::widen`] spawns in the
+/// run's thread scope and deals the inline queue in admission order.
+struct ParSource<'s, 'e, P: Process> {
+    scope: &'s Scope<'s, 'e>,
+    /// `Some` until the handoff.
+    inline: Option<SeqSource<'e, P>>,
+    pool: PoolSource<'e, P>,
+}
+
+impl<P: Process + Send + Sync> ResultSource<P> for ParSource<'_, '_, P> {
+    fn dispatch(&mut self, node: Node) -> Result<(), SimError> {
+        match &mut self.inline {
+            Some(inline) => inline.dispatch(node),
+            None => self.pool.dispatch(node),
+        }
+    }
+
+    fn take(&mut self, index: usize) -> Result<NodeResult, SimError> {
+        match &mut self.inline {
+            Some(inline) => inline.take(index),
+            None => self.pool.take(index),
+        }
+    }
+
+    fn widen(&mut self) -> Result<bool, SimError> {
+        let Some(mut inline) = self.inline.take() else {
+            return Ok(false);
+        };
+        #[cfg(test)]
+        POOL_STARTS.with(|starts| starts.set(starts.get() + 1));
+        let (pool, ctx, cfg) = (self.pool.pool, self.pool.ctx, self.pool.cfg);
+        for home in 0..pool.deques.len() {
+            self.scope.spawn(move || pool.worker_loop(ctx, cfg, home));
+        }
+        self.pool.cache = inline.cache;
+        while let Some(node) = inline.queue.pop()? {
+            self.pool.dispatch(node)?;
+        }
+        Ok(true)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The deterministic committer
 // ---------------------------------------------------------------------------
@@ -830,18 +901,16 @@ pub(crate) fn packed_violation<P: Process>(
 /// The sequential commit loop: consumes node results in admission order and
 /// makes every stateful decision exactly the way the clone-based reference
 /// BFS does. This is the *only* place the admitted set, links, counters and
-/// outcome are touched, which is the whole determinism argument — `admit` is
-/// a private `HashSet` or the claim table's committed bitmap, but
-/// either way only this loop calls it, in one deterministic order.
+/// outcome are touched, which is the whole determinism argument — the seen
+/// set is this loop's own, called in one deterministic order.
 #[allow(clippy::too_many_arguments)]
-fn drive<P, S, A>(
+fn drive<P, S>(
     ctx: &PackedCtx<P>,
     root: PackedState,
     inputs: &[u64],
     limits: ExploreLimits,
     symmetric: bool,
     source: &mut S,
-    admit: &mut A,
     mem: &SpillContext,
     ckpt: Option<&CheckpointCfg>,
     resume: Option<&Snapshot>,
@@ -849,13 +918,16 @@ fn drive<P, S, A>(
 where
     P: Process,
     S: ResultSource<P>,
-    A: AdmitSet,
 {
+    // Unbudgeted: an exact fingerprint set (charged to the tracker at its
+    // real size, so unbounded peaks tell the truth). Budgeted: the tiered
+    // fingerprint store, which evicts cold fingerprints to sorted runs
+    // instead of growing.
+    let mut admit = SeenBackend::new(limits.max_configs, mem);
     // The committer's own memoised read-through intern cache (child
     // materialisation, violation checks, the root digest).
     let mut cache: PackedCache<P> = PackedCache::new();
-    // Admitted-configuration count: tracks `admit` admissions one-for-one,
-    // kept locally because the shared table has no cheap exact size.
+    // Admitted-configuration count: tracks `admit` admissions one-for-one.
     let mut configs = 0usize;
     let mut links: Vec<Link> = Vec::new();
     // (parent link, depth) per admitted node, in admission order.
@@ -992,7 +1064,17 @@ where
     }
 
     let mut next_ckpt_at = ckpt.map(|ck| configs as u64 + ck.every);
+    let mut wide = false;
     while next_commit < meta.len() {
+        // Admitted, uncommitted nodes outside `inline_active` are the live
+        // frontier. The first time it is wide, the source may start its
+        // pool, and then the seen set reserves room for the whole run.
+        if !wide && meta.len() - next_commit - inline_active.len() >= MIN_PARALLEL_CONFIGS {
+            wide = true;
+            if source.widen()? {
+                admit.reserve(limits.max_configs);
+            }
+        }
         // Fold intern-table growth (the committer's own and every worker's)
         // into the shared resident total before the admissions below consult
         // the budget. The tables only grow, so this is a one-way delta.
@@ -1176,6 +1258,21 @@ pub(crate) fn explore_packed_seq<P: Protocol>(
     ckpt: Option<CheckpointCfg>,
     resume: Option<&Snapshot>,
 ) -> Result<(ExploreOutcome, ExploreStats), SimError> {
+    let (ctx, root, cfg, mem) = start(protocol, inputs, limits, symmetric, resume)?;
+    let mut source = SeqSource::new(&ctx, cfg, &mem);
+    drive(&ctx, root, inputs, limits, symmetric, &mut source, &mem, ckpt.as_ref(), resume)
+}
+
+/// A run's setup: checks a resumed snapshot's identity, then builds the
+/// packed context, the root, the per-run constants and the memory context.
+#[allow(clippy::type_complexity)]
+fn start<P: Protocol>(
+    protocol: &P,
+    inputs: &[u64],
+    limits: ExploreLimits,
+    symmetric: bool,
+    resume: Option<&Snapshot>,
+) -> Result<(PackedCtx<P::Proc>, PackedState, RunCfg, SpillContext), SimError> {
     if let Some(snap) = resume {
         snap.check_identity(protocol, inputs, &limits, symmetric)
             .map_err(|e| snapshot_sim_err(&e))?;
@@ -1188,33 +1285,13 @@ pub(crate) fn explore_packed_seq<P: Protocol>(
         symmetric,
         cache_cap: cache_cap_of(limits.memory_budget),
     };
-    let mem = SpillContext::new(limits.memory_budget);
-    let mut source = SeqSource {
-        ctx: &ctx,
-        cfg,
-        queue: FrontierStore::new(NodeCodec, mem.clone()),
-        cache: PackedCache::new(),
-    };
-    // Unbudgeted: a plain seen-HashSet (charged to the tracker so unbounded
-    // peaks tell the truth). Budgeted: the tiered fingerprint store, which
-    // evicts cold fingerprints to sorted runs instead of growing.
-    let mut admit = SeenBackend::new(limits.max_configs, &mem);
-    drive(
-        &ctx,
-        root,
-        inputs,
-        limits,
-        symmetric,
-        &mut source,
-        &mut admit,
-        &mem,
-        ckpt.as_ref(),
-        resume,
-    )
+    Ok((ctx, root, cfg, SpillContext::new(limits.memory_budget)))
 }
 
-/// Parallel packed exploration with a persistent work-stealing pool, with
-/// optional periodic checkpoints and an optional snapshot to resume from.
+/// Parallel packed exploration: starts inline like [`explore_packed_seq`]
+/// and hands its frontier to a persistent work-stealing pool of `workers`
+/// threads once it is wide, with optional periodic checkpoints and an
+/// optional snapshot to resume from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_packed_par<P: Protocol>(
     protocol: &P,
@@ -1228,43 +1305,10 @@ pub(crate) fn explore_packed_par<P: Protocol>(
 where
     P::Proc: Send + Sync,
 {
-    if let Some(snap) = resume {
-        snap.check_identity(protocol, inputs, &limits, symmetric)
-            .map_err(|e| snapshot_sim_err(&e))?;
-    }
-    if workers <= 1 || limits.max_configs <= MIN_PARALLEL_CONFIGS {
+    if workers <= 1 {
         return explore_packed_seq(protocol, inputs, limits, symmetric, ckpt, resume);
     }
-    // Probe: run sequentially with the cap clamped to the threshold. The
-    // cap fires only at `configs == cap + 1`, so a probe that comes back at
-    // or under the threshold never hit it — its outcome (clean, violating,
-    // depth-cut or obstruction) is exactly what the uncapped run would
-    // produce, and no thread was ever spawned for a small space. Only when
-    // the probe overflows (the space is genuinely big) do we pay the pool,
-    // re-exploring the ≤`MIN_PARALLEL_CONFIGS`-node prefix — noise at that
-    // size. Resumed runs skip the probe (they already hold a snapshot of a
-    // big space), as do checkpointing ones (a probe must never write a
-    // clamped-limits snapshot over the real one); both fallbacks above and
-    // below stay bit-identical, so skipping is unobservable in outcomes.
-    if ckpt.is_none() && resume.is_none() {
-        let probe_limits = ExploreLimits {
-            max_configs: MIN_PARALLEL_CONFIGS,
-            ..limits
-        };
-        let probe = explore_packed_seq(protocol, inputs, probe_limits, symmetric, None, None)?;
-        if probe.1.configs <= MIN_PARALLEL_CONFIGS {
-            return Ok(probe);
-        }
-    }
-    let machine = Machine::start(protocol, inputs)?;
-    let ctx = machine.packed_ctx();
-    let root = machine.pack(&ctx);
-    let cfg = RunCfg {
-        solo_budget: limits.solo_check_budget,
-        symmetric,
-        cache_cap: cache_cap_of(limits.memory_budget),
-    };
-    let mem = SpillContext::new(limits.memory_budget);
+    let (ctx, root, cfg, mem) = start(protocol, inputs, limits, symmetric, resume)?;
     let pool = Pool {
         deques: (0..workers)
             .map(|_| Mutex::new(FrontierStore::new(BatchCodec, mem.clone())))
@@ -1277,62 +1321,25 @@ where
         io_error: Mutex::new(None),
     };
     std::thread::scope(|scope| {
-        for home in 0..workers {
-            let pool = &pool;
-            let ctx = &ctx;
-            scope.spawn(move || pool.worker_loop(ctx, cfg, home));
-        }
-        let mut source = PoolSource {
-            pool: &pool,
-            ctx: &ctx,
-            cfg,
-            cache: PackedCache::new(),
-            workers,
-            next_deque: 0,
-            pending: Vec::new(),
-            outstanding: 0,
-            drained: Vec::new().into_iter(),
+        let mut source = ParSource {
+            scope,
+            inline: Some(SeqSource::new(&ctx, cfg, &mem)),
+            pool: PoolSource {
+                pool: &pool,
+                ctx: &ctx,
+                cfg,
+                cache: PackedCache::new(),
+                next_deque: 0,
+                pending: Vec::new(),
+                outstanding: 0,
+                drained: Vec::new().into_iter(),
+            },
         };
         // The guard (not explicit code) stops the pool, so the workers are
         // released even if `drive` panics mid-commit — otherwise the scope's
         // implicit join would turn the panic into a deadlock.
         let _stop = StopGuard(&pool);
-        if limits.memory_budget.is_some() {
-            let mut admit = SeenBackend::new(limits.max_configs, &mem);
-            drive(
-                &ctx,
-                root,
-                inputs,
-                limits,
-                symmetric,
-                &mut source,
-                &mut admit,
-                &mem,
-                ckpt.as_ref(),
-                resume,
-            )
-        } else {
-            // Unbudgeted: the claim table's committed bitmap, sized for the
-            // run's admission cap, is the seen set; only this thread writes
-            // it. It is a real allocation of the run, so it is charged to
-            // the tracker for as long as it lives.
-            let table = ClaimTable::new(limits.max_configs);
-            mem.tracker().add_resident(table.resident_bytes());
-            let outcome = drive(
-                &ctx,
-                root,
-                inputs,
-                limits,
-                symmetric,
-                &mut source,
-                &mut &table,
-                &mem,
-                ckpt.as_ref(),
-                resume,
-            );
-            mem.tracker().sub_resident(table.resident_bytes());
-            outcome
-        }
+        drive(&ctx, root, inputs, limits, symmetric, &mut source, &mem, ckpt.as_ref(), resume)
     })
 }
 
@@ -1444,8 +1451,7 @@ mod tests {
 
     #[test]
     fn packed_engine_matches_reference_under_caps_and_horizons() {
-        // Small caps cover the sequential over-cap path (the parallel entry
-        // falls back below MIN_PARALLEL_CONFIGS)...
+        // Small caps stop while the parallel entry is still inline...
         for cap in [1, 2, 7, 50, 400] {
             agree(
                 &MaxRegConsensus::new(2),
@@ -1453,25 +1459,21 @@ mod tests {
                 ExploreLimits {
                     depth: 12,
                     max_configs: cap,
-                    solo_check_budget: None,
-                    memory_budget: None,
-                    checkpoint_every: None,
+                    ..ExploreLimits::default()
                 },
             );
         }
-        // ...so caps above the fallback threshold are needed to exercise the
-        // work-stealing committer's over-cap shutdown (early return while
-        // workers still preview) against the reference.
-        for cap in [1_200, 2_048] {
+        // ...so a row that hands off (after about 2,210 admissions) is
+        // needed to exercise the work-stealing committer's over-cap shutdown
+        // (early return while workers still preview) against the reference.
+        for cap in [2_300, 4_096] {
             agree(
-                &MaxRegConsensus::new(3),
-                &[0, 1, 2],
+                &MaxRegConsensus::new(4),
+                &[0, 1, 2, 3],
                 ExploreLimits {
-                    depth: 14,
+                    depth: 10,
                     max_configs: cap,
-                    solo_check_budget: None,
-                    memory_budget: None,
-                    checkpoint_every: None,
+                    ..ExploreLimits::default()
                 },
             );
         }
@@ -1482,11 +1484,22 @@ mod tests {
                 ExploreLimits {
                     depth,
                     max_configs: 100_000,
-                    solo_check_budget: None,
-                    memory_budget: None,
-                    checkpoint_every: None,
+                    ..ExploreLimits::default()
                 },
             );
+        }
+    }
+
+    #[test]
+    fn only_a_wide_frontier_starts_the_pool() {
+        // `MaxRegConsensus::new(3)` to depth 14 never queues more than 933
+        // nodes; `new(4)` to depth 10 queues past the threshold once.
+        for (n, depth, pools) in [(3, 14, 0), (4, 10, 1)] {
+            let inputs: Vec<u64> = (0..n as u64).collect();
+            let limits = ExploreLimits { depth, ..ExploreLimits::default() };
+            let before = POOL_STARTS.with(std::cell::Cell::get);
+            explore_packed_par(&MaxRegConsensus::new(n), &inputs, limits, false, 8, None, None).unwrap();
+            assert_eq!(POOL_STARTS.with(std::cell::Cell::get) - before, pools, "n = {n}");
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Property tests for the lock-free claim table — the parallel explorer's
-//! committed fingerprint set, which stays exactly-once when claims (inserts
-//! that do not admit) race admissions.
+//! Property tests for the lock-free claim table, a concurrent fingerprint
+//! set that stays exactly-once when claims (inserts that do not admit) race
+//! admissions. No engine uses it; the benchmark's `claim.*` metrics do.
 //!
 //! The reference model is the structure the table replaced: a
 //! `HashSet<u128>`. For random fingerprint workloads — duplicates, zero

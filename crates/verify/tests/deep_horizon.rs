@@ -1,11 +1,11 @@
 //! Deep-horizon conformance smoke: a state space past 10⁶ configurations,
-//! the regime where the lock-free claim table sees real probe chains, the
-//! per-worker intern caches carry most lookups, and adaptive batching
-//! leaves its minimum batch size.
+//! the regime where the pool runs long past its inline start, the seen set
+//! holds its full reserve, the per-worker intern caches carry most lookups,
+//! and adaptive batching leaves its minimum batch size.
 //!
 //! The small conformance scenarios can't reach this regime, so a racing
-//! bug that only fires under load (a lost claim in a long probe chain, a
-//! stale cache entry, a batch boundary off-by-one) would slip past them.
+//! bug that only fires under load (a stale cache entry, a batch boundary
+//! off-by-one) would slip past them.
 //! Here the 8-worker packed run must reproduce the 1-worker packed run
 //! bit-for-bit — same `ExploreOutcome`, same `ExploreStats` — on a
 //! 1.5M-config space.

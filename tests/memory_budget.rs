@@ -24,6 +24,7 @@
 
 use space_hierarchy::model::Protocol;
 use space_hierarchy::protocols::bitwise::{tas_reset_consensus, write01_consensus};
+use space_hierarchy::protocols::maxreg::MaxRegConsensus;
 use space_hierarchy::protocols::registry::{self, RowSpec, RowVisitor};
 use space_hierarchy::protocols::stress::value_diverse_consensus;
 use space_hierarchy::sim::SimError;
@@ -209,5 +210,23 @@ fn value_diverse_interning_trips_the_budget_instead_of_overrunning() {
             }
             other => panic!("expected SimError::Budget, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn unbounded_runs_charge_the_seen_set_at_its_real_size() {
+    // `MaxRegConsensus::new(4)` to depth 10 goes wide, so at 2 workers its
+    // exact seen set reserves room for `max_configs` (100,000) admissions
+    // when the pool starts: at least 131,072 sixteen-byte slots. At 1
+    // worker the set grows with its 5,524 admissions instead.
+    let limits = ExploreLimits {
+        depth: 10,
+        max_configs: 100_000,
+        ..ExploreLimits::default()
+    };
+    for (workers, slots) in [(1, 5_524), (2, 131_072)] {
+        let (_, stats) = explore_at(&MaxRegConsensus::new(4), &[0, 1, 2, 3], limits, workers);
+        assert!(stats.seen_resident_bytes >= slots * 16, "{workers} workers: {stats:?}");
+        assert!(stats.peak_resident_bytes >= stats.seen_resident_bytes, "{stats:?}");
     }
 }

@@ -9,6 +9,7 @@
 //! engine must map to the error outcome.
 
 use space_hierarchy::protocols::bitwise::tas_reset_consensus;
+use space_hierarchy::protocols::maxreg::MaxRegConsensus;
 use space_hierarchy::sim::SimError;
 use space_hierarchy::verify::checker::{explore_stats, ExploreLimits, Explorer};
 use space_hierarchy::verify::dist::{explore_sharded, DistConfig};
@@ -56,8 +57,8 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
     assert_spill_error(err, "sequential packed engine");
 
     // -- parallel entry point ----------------------------------------------
-    // The budgeted probe hits the same failing arena; either way the caller
-    // sees one clean typed error and every thread shuts down.
+    // An 8-worker run starts inline, so at a zero budget it fails before any
+    // pool thread exists; the caller still sees the one clean typed error.
     let err = Explorer::new()
         .workers(8)
         .limits(limits)
@@ -66,24 +67,29 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
     assert_spill_error(err, "parallel packed engine");
 
     // -- work-stealing pool -------------------------------------------------
-    // The 8-worker run above fails in its sequential probe, before any pool
-    // thread exists. A checkpointing run skips that probe, so here the
-    // failing arena is hit inside the pool itself: the committer and every
-    // worker must still shut down and hand back the one typed error.
-    let checkpoint = std::env::temp_dir().join(format!(
-        "cbh-spill-errors-{}-pool.ck",
-        std::process::id()
-    ));
-    for workers in [2, 4] {
+    // `MaxRegConsensus::new(4)` to depth 10 starts its pool after about
+    // 2,210 admissions. At 768 KiB the inline prefix never spills (a run
+    // capped short of the handoff comes back clean) but the wide frontier
+    // does, so the failing arena is hit with the pool live: usually by a
+    // worker parking a result batch, else by the committer. Either way
+    // every thread shuts down and the caller gets the one typed error.
+    let pool_limits = ExploreLimits {
+        depth: 10,
+        memory_budget: Some(768 << 10),
+        ..limits
+    };
+    let maxreg = MaxRegConsensus::new(4);
+    let prefix = ExploreLimits { max_configs: 2_200, ..pool_limits };
+    let (_, stats) = explore_stats(&maxreg, &[0, 1, 2, 3], prefix).expect("prefix never spills");
+    assert_eq!(stats.bytes_spilled, 0);
+    for workers in [2, 4, 8] {
         let err = Explorer::new()
             .workers(workers)
-            .limits(limits)
-            .checkpoint_to(&checkpoint)
-            .explore_stats(&tas_reset_consensus(3), &[0, 1, 2])
+            .limits(pool_limits)
+            .explore_stats(&maxreg, &[0, 1, 2, 3])
             .expect_err("pool run must fail to spill");
         assert_spill_error(err, &format!("work-stealing pool at {workers} workers"));
     }
-    let _ = std::fs::remove_file(&checkpoint);
 
     // -- in-process shards ----------------------------------------------------
     // Each in-process shard owns its own arenas, and its handler's error
