@@ -1,7 +1,7 @@
 //! `bench_explore`: the explore-engine trajectory harness.
 //!
 //! Runs a fixed set of Table-1 exploration workloads through the packed
-//! work-stealing engine at 1/2/4/8 workers, plus a **spilling** run
+//! pooled engine at 1/2/4/8 workers, plus a **spilling** run
 //! (frontier memory budget pinned to 10% of the unbounded run's observed
 //! resident peak) and a **deep-horizon** row (≥10⁶ configs, where
 //! seen-set occupancy and intern-cache hit rates actually matter), and

@@ -55,7 +55,7 @@ pub struct RowSpec {
 /// A computation generic over the concrete protocol type a row constructs.
 ///
 /// The `P::Proc: Send + Sync` bounds let visitors hand the protocol to the
-/// work-stealing packed explorer (whose workers share interned process
+/// pooled packed explorer (whose workers share interned process
 /// states by reference) and the real-thread runtime.
 pub trait RowVisitor {
     /// What the visit produces.

@@ -23,7 +23,7 @@
 //!
 //! Since the packed-state refactor, exploration runs on the flat
 //! [`cbh_model::PackedState`] representation (see
-//! [`crate::packed_engine`]'s module docs for the work-stealing
+//! [`crate::packed_engine`]'s module docs for the worker-pool
 //! architecture); [`Machine`]s appear only at the edges — the root, solo
 //! probes, and counterexample reconstruction. The clone-based
 //! [`crate::reference`] BFS remains the conformance oracle's ground truth,
@@ -119,8 +119,8 @@ pub struct ExploreStats {
     /// wrote to the spill arena (telemetry; `0` on unbounded runs and for
     /// the clone-based reference).
     pub bytes_spilled: u64,
-    /// High-water mark of tracked resident bytes — frontier queues, deques,
-    /// reorder buffer, seen set and intern tables (telemetry; the figure to
+    /// High-water mark of tracked resident bytes — the admission queue, a
+    /// pool's dealt window, seen set and intern tables (telemetry; the figure to
     /// derive a [`ExploreLimits::memory_budget`] from).
     pub peak_resident_bytes: usize,
     /// Resident bytes of the seen set (the exact hash table's real size, or
@@ -387,7 +387,7 @@ pub fn explore_stats<P: Protocol>(
 /// read-only successor digests), and a sequential committer consumes their
 /// results in admission order, materialising every admitted successor
 /// itself, before any stateful decision is made. See
-/// [`crate::packed_engine`] for the work-stealing architecture and the
+/// [`crate::packed_engine`] for the worker-pool architecture and the
 /// determinism argument.
 ///
 /// # Examples

@@ -1,23 +1,17 @@
 //! Memory-bounded frontier storage: in-memory queues that spill to disk.
 //!
-//! The exploration engines hold three kinds of pending state in memory: the
-//! sequential engine's admission queue, the work-stealing pool's per-worker
-//! deques, and the committer's reorder buffer. All of them are bounded only
-//! by the frontier width, which on dense rows outgrows RAM long before the
-//! time budget is spent. This module gives each of them a budgeted backend:
-//!
-//! - [`FrontierStore`] — a FIFO queue. Within the budget it *is* the plain
-//!   `VecDeque` the engines always used (the in-memory backend); past the
-//!   budget it drains its resident backlog as one **run** of encoded
-//!   records into a [`SpillArena`] and streams the run back, record by
-//!   record, when the queue's head reaches it. Runs are written in
-//!   admission order and read in admission order, so the queue's FIFO
-//!   contract — and therefore the committer's determinism argument — is
-//!   untouched by where the bytes live.
-//! - [`ReorderBuffer`] — an index-addressed map for the committer's
-//!   out-of-order results. Past the budget the entries with the *largest*
-//!   admission indices (the ones the committer needs last) are encoded and
-//!   parked in the arena individually.
+//! The exploration engines hold their pending nodes in an admission queue
+//! (the packed engine's, or a shard's), bounded only by the frontier width,
+//! which on dense rows outgrows RAM long before the time budget is spent. A
+//! parallel run deals its workers a bounded window from that queue's head,
+//! so the queue is the one structure that needs a budgeted backend:
+//! [`FrontierStore`], a FIFO queue. Within the budget it *is* the plain
+//! `VecDeque` the engines always used (the in-memory backend); past the
+//! budget it drains its resident backlog as one **run** of encoded records
+//! into a [`SpillArena`] and streams the run back, record by record, when
+//! the queue's head reaches it. Runs are written in admission order and read
+//! in admission order, so the queue's FIFO contract — and therefore the
+//! committer's determinism argument — is untouched by where the bytes live.
 //!
 //! Encoding is delegated to a [`SpillCodec`]; the packed engine's codec
 //! delta-compresses each record against its predecessor in the run
@@ -38,10 +32,10 @@
 //!
 //! Arena files live under [`spill_dir`] (`CBH_SPILL_DIR`, else the system
 //! temp dir) and are deleted when the arena drops — on normal return *and*
-//! during unwinding, so a panicking worker (the engine's `StopGuard` path)
-//! leaves no orphaned spill files behind.
+//! during unwinding, so a panicking run (a committer, or a pool worker on
+//! the engine's `StopGuard` path) leaves no orphaned spill files behind.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::PathBuf;
@@ -55,7 +49,8 @@ use cbh_model::packed::delta::{read_varint, write_varint};
 // ---------------------------------------------------------------------------
 
 /// A typed spill-IO failure: what went wrong when the budgeted stores tried
-/// to move bytes to or from disk. Workers map these to a clean
+/// to move bytes to or from disk, or what failed to parse when they read
+/// them back. The engines map these to a clean
 /// [`cbh_sim::SimError::Spill`] instead of panicking, so a full disk or an
 /// unwritable spill directory surfaces as an error outcome, not an abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,9 +119,9 @@ impl From<SpillError> for cbh_sim::SimError {
 /// How a store element crosses the memory/disk boundary.
 ///
 /// `decode` consumes exactly the bytes `encode` produced for the record (the
-/// stores frame records with length prefixes); `prev` is the record encoded
+/// store frames records with length prefixes); `prev` is the record encoded
 /// immediately before this one in the same run — the delta base — and is
-/// `None` for a run's first record and for individually parked records.
+/// `None` for a run's first record.
 pub trait SpillCodec {
     /// The element type stored.
     type Item;
@@ -137,10 +132,11 @@ pub trait SpillCodec {
 
     /// Rebuilds an item from the exact bytes `encode` wrote.
     ///
-    /// Spill records are written and read by the same process, so a decode
-    /// failure is an engine bug, not an input condition: implementations
-    /// should panic with the underlying typed error.
-    fn decode(&self, bytes: &[u8], prev: Option<&Self::Item>) -> Self::Item;
+    /// # Errors
+    ///
+    /// [`SpillError::Corrupt`] if the bytes do not parse as a record: the
+    /// arena's bytes come back from disk, so decoding is total.
+    fn decode(&self, bytes: &[u8], prev: Option<&Self::Item>) -> Result<Self::Item, SpillError>;
 
     /// Decodes the next record of a streamed-back run, advancing the delta
     /// chain: `prev` holds the previously decoded item on entry and must
@@ -150,27 +146,21 @@ pub trait SpillCodec {
     /// expensive to clone override it to patch `prev` in place (one state
     /// build per record instead of two); codecs that ignore `prev` override
     /// it to skip chain upkeep entirely.
-    fn decode_step(&self, bytes: &[u8], prev: &mut Option<Self::Item>) -> Self::Item
+    ///
+    /// # Errors
+    ///
+    /// As [`SpillCodec::decode`].
+    fn decode_step(&self, bytes: &[u8], prev: &mut Option<Self::Item>) -> Result<Self::Item, SpillError>
     where
         Self::Item: Clone,
     {
-        let item = self.decode(bytes, prev.as_ref());
+        let item = self.decode(bytes, prev.as_ref())?;
         *prev = Some(item.clone());
-        item
+        Ok(item)
     }
 
     /// Approximate resident footprint of `item` in bytes (budget accounting).
     fn cost(&self, item: &Self::Item) -> usize;
-
-    /// `false` exempts an item from being parked by a [`ReorderBuffer`]
-    /// (e.g. error results the committer is about to consume and propagate,
-    /// which the codec therefore never has to encode). [`FrontierStore`]
-    /// ignores this hook: its FIFO runs encode the backlog wholesale —
-    /// holding selected items back would reorder the queue — so only pair
-    /// it with codecs whose items are all encodable.
-    fn spillable(&self, _item: &Self::Item) -> bool {
-        true
-    }
 }
 
 /// The directory spill arenas are created in: `CBH_SPILL_DIR` if set (the
@@ -309,7 +299,8 @@ fn writer_loop(shared: Arc<WriterShared>) {
     }
 }
 
-/// One run's append-only spill file, shared by every store of the run.
+/// One run's append-only spill file, shared by every store of the run (the
+/// admission queue and the tiered seen set).
 ///
 /// Created lazily on the first spill (a run that never exceeds its budget
 /// never touches the filesystem); the file is removed when the arena drops,
@@ -758,12 +749,16 @@ where
                 if cursor.remaining > 0 {
                     let mut slice = &cursor.buf[cursor.pos..];
                     let before = slice.len();
-                    let rec_len = read_varint(&mut slice).map_err(|e| SpillError::Corrupt {
-                        detail: format!("spill run framing: {e}"),
-                    })? as usize;
-                    let record = &slice[..rec_len];
-                    let item = self.codec.decode_step(record, &mut cursor.prev);
-                    cursor.pos += before - slice.len() + rec_len;
+                    let framing = |detail: String| SpillError::Corrupt {
+                        detail: format!("spill run framing: {detail}"),
+                    };
+                    let rec_len = read_varint(&mut slice).map_err(|e| framing(e.to_string()))?;
+                    let record = usize::try_from(rec_len)
+                        .ok()
+                        .and_then(|len| slice.get(..len))
+                        .ok_or_else(|| framing(format!("record of {rec_len} bytes overruns the run")))?;
+                    let item = self.codec.decode_step(record, &mut cursor.prev)?;
+                    cursor.pos += before - slice.len() + record.len();
                     cursor.remaining -= 1;
                     self.len -= 1;
                     return Ok(Some(item));
@@ -805,108 +800,6 @@ impl<C: SpillCodec> Drop for FrontierStore<C> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reorder buffer
-// ---------------------------------------------------------------------------
-
-/// An index-addressed buffer for results completing out of admission order.
-///
-/// Past the budget, spillable entries with the largest indices — the ones
-/// the in-order committer will wait longest for — are encoded individually
-/// into the arena and decoded back on [`ReorderBuffer::remove`].
-pub struct ReorderBuffer<C: SpillCodec> {
-    codec: C,
-    ctx: SpillContext,
-    resident: HashMap<usize, (C::Item, usize)>,
-    parked: HashMap<usize, (u64, usize)>,
-    resident_cost: usize,
-}
-
-impl<C: SpillCodec> ReorderBuffer<C> {
-    /// An empty buffer drawing on `ctx`'s arena, tracker and budget.
-    pub fn new(codec: C, ctx: SpillContext) -> Self {
-        ReorderBuffer {
-            codec,
-            ctx,
-            resident: HashMap::new(),
-            parked: HashMap::new(),
-            resident_cost: 0,
-        }
-    }
-
-    /// Inserts `item` under `index`; may park large-index entries on disk.
-    /// Re-inserting an occupied index replaces the entry (the displaced
-    /// one's accounting is reclaimed; its parked bytes, if any, stay in the
-    /// append-only arena until the run ends).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the arena's typed [`SpillError`] if parking failed.
-    pub fn insert(&mut self, index: usize, item: C::Item) -> Result<(), SpillError> {
-        let cost = self.codec.cost(&item);
-        self.ctx.tracker.add_resident(cost);
-        self.resident_cost += cost;
-        if let Some((_, old_cost)) = self.resident.insert(index, (item, cost)) {
-            self.ctx.tracker.sub_resident(old_cost);
-            self.resident_cost -= old_cost;
-        }
-        self.parked.remove(&index);
-        if self.ctx.over_budget() && self.resident_cost >= self.ctx.min_run_bytes() {
-            self.park_excess()?;
-        }
-        Ok(())
-    }
-
-    fn park_excess(&mut self) -> Result<(), SpillError> {
-        let mut indices: Vec<usize> = self
-            .resident
-            .iter()
-            .filter(|(_, (item, _))| self.codec.spillable(item))
-            .map(|(&i, _)| i)
-            .collect();
-        indices.sort_unstable();
-        while self.ctx.over_budget() {
-            let Some(index) = indices.pop() else { break };
-            let (item, cost) = self.resident.remove(&index).expect("listed above");
-            let mut buf = Vec::new();
-            self.codec.encode(&item, None, &mut buf);
-            let bytes = buf.len();
-            let offset = self.ctx.arena.append(buf)?;
-            self.ctx.tracker.add_spilled(bytes as u64);
-            self.ctx.tracker.sub_resident(cost);
-            self.resident_cost -= cost;
-            self.parked.insert(index, (offset, bytes));
-        }
-        Ok(())
-    }
-
-    /// Removes and returns the entry at `index`, reading it back from the
-    /// arena if it was parked.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the arena's typed [`SpillError`] if a parked entry could
-    /// not be read back.
-    pub fn remove(&mut self, index: usize) -> Result<Option<C::Item>, SpillError> {
-        if let Some((item, cost)) = self.resident.remove(&index) {
-            self.ctx.tracker.sub_resident(cost);
-            self.resident_cost -= cost;
-            return Ok(Some(item));
-        }
-        let Some((offset, len)) = self.parked.remove(&index) else {
-            return Ok(None);
-        };
-        let bytes = self.ctx.arena.read(offset, len)?;
-        Ok(Some(self.codec.decode(&bytes, None)))
-    }
-}
-
-impl<C: SpillCodec> Drop for ReorderBuffer<C> {
-    fn drop(&mut self) {
-        self.ctx.tracker.sub_resident(self.resident_cost);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -922,8 +815,8 @@ mod tests {
             write_varint(out, item ^ prev.copied().unwrap_or(0));
         }
 
-        fn decode(&self, mut bytes: &[u8], prev: Option<&u64>) -> u64 {
-            read_varint(&mut bytes).expect("test record") ^ prev.copied().unwrap_or(0)
+        fn decode(&self, mut bytes: &[u8], prev: Option<&u64>) -> Result<u64, SpillError> {
+            Ok(read_varint(&mut bytes).expect("test record") ^ prev.copied().unwrap_or(0))
         }
 
         fn cost(&self, _item: &u64) -> usize {
@@ -1011,18 +904,16 @@ mod tests {
     }
 
     #[test]
-    fn reorder_buffer_parks_and_restores_out_of_order() {
+    fn a_corrupt_length_prefix_is_a_typed_error() {
+        // At a zero budget one push spills a one-record run, `[len = 1, 7]`;
+        // once durable, claim a record longer than the whole run.
         let ctx = SpillContext::new(Some(0));
-        let mut buffer = ReorderBuffer::new(U64Codec, ctx.clone());
-        for index in (0..50).rev() {
-            buffer.insert(index, index as u64 * 7).unwrap();
-        }
-        assert!(ctx.tracker().bytes_spilled() > 0);
-        for index in 0..50 {
-            assert_eq!(buffer.remove(index).unwrap(), Some(index as u64 * 7), "{index}");
-        }
-        assert_eq!(buffer.remove(0).unwrap(), None);
-        assert_eq!(ctx.tracker().resident_bytes(), 0);
+        let mut store = FrontierStore::new(U64Codec, ctx.clone());
+        store.push(7).unwrap();
+        ctx.sync().unwrap();
+        let path = ctx.arena().durable_path().expect("spill file exists");
+        write_at(&OpenOptions::new().write(true).open(path).unwrap(), 0, &[0x7f]).unwrap();
+        assert!(matches!(store.pop(), Err(SpillError::Corrupt { .. })));
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //!   (agreement/validity violations, valency probes, obstruction-freedom
 //!   checks): since the packed-state refactor it runs on the flat
 //!   [`cbh_model::packed`] representation with a barrier-free
-//!   work-stealing worker pool ([`packed_engine`]) whose outcomes are
+//!   worker pool ([`packed_engine`]) whose outcomes are
 //!   deterministic at any worker count, plus an opt-in process-symmetry
 //!   reduction;
-//! - [`frontier`] — memory-bounded frontier storage: budgeted FIFO queues
-//!   and reorder buffers that delta-compress past
+//! - [`frontier`] — memory-bounded frontier storage: a budgeted FIFO
+//!   admission queue that delta-compresses past
 //!   [`checker::ExploreLimits::memory_budget`] into a self-deleting
-//!   temp-file arena and stream back in admission order, shared by every
+//!   temp-file arena and streams back in admission order, shared by every
 //!   engine;
 //! - [`packing`] — Lemma 7.1's `k`-packing repair algorithm (the Eulerian
 //!   multigraph argument) as a standalone combinatorial routine, plus

@@ -1,42 +1,42 @@
-//! The packed work-stealing explorer: the production state-space engine.
+//! The packed pooled explorer: the production state-space engine.
 //!
 //! # Architecture
 //!
 //! The engine splits exploration into a **parallel preview phase** and a
 //! **deterministic sequential commit**:
 //!
-//! - **Workers** are pure previews. They own per-worker deques of node
-//!   batches and steal from each other when idle. A node is one admitted
-//!   configuration (a flat [`PackedState`]); the worker runs its optional
-//!   solo probes and walks its outgoing edges with the *read-only*
-//!   [`PackedCtx::edge_digest`] preview, through a thread-local memoised
-//!   [`PackedCache`] over the shared intern tables. It returns the solo
-//!   verdict, `has_active` and one `(pid, fp)` `Edge` per active pid —
-//!   never a successor state — and publishes the whole batch as **one**
-//!   reorder-buffer record keyed by the batch's first admission index.
-//! - The **committer** (the calling thread) takes those records in
-//!   admission order, drains each locally, and replays, verbatim, the
-//!   sequential algorithm of the clone-based reference BFS: authoritative
-//!   admission into the run's one seen set (`crate::fpset`'s
+//! - **Workers** are pure previews. They pop node batches from one shared
+//!   FIFO. A node is one admitted configuration (a flat [`PackedState`]);
+//!   the worker runs its optional solo probes and walks its outgoing edges
+//!   with the *read-only* [`PackedCtx::edge_digest`] preview, through a
+//!   thread-local memoised [`PackedCache`] over the shared intern tables. It
+//!   returns the solo verdict, `has_active` and one `(pid, fp)` `Edge` per
+//!   active pid — never a successor state — and publishes the whole batch
+//!   as **one** result record keyed by the batch's first admission index.
+//! - The **committer** (the calling thread) owns the run's admission queue.
+//!   It deals batches from the queue's head into the pool, takes the result
+//!   records back in admission order, drains each locally, and replays,
+//!   verbatim, the sequential algorithm of the clone-based reference BFS:
+//!   authoritative admission into the run's one seen set (`crate::fpset`'s
 //!   `SeenBackend`), `max_configs` accounting, violation selection,
 //!   parent-link construction, layer bookkeeping. It
 //!   materialises every admitted child itself, with one memoised
 //!   `branch_step_cached` from the parent. Every order-sensitive decision is
 //!   made here, single-threaded, on a totally ordered stream. While a record
 //!   it needs is still being computed, the committer *helps*: it pops and
-//!   expands a backlogged batch itself instead of sleeping.
+//!   expands a dealt batch itself instead of sleeping.
 //!
-//! Workers therefore touch no shared state except the deques, the reorder
-//! buffer and the append-only intern tables: no claims, no speculative
-//! children, and one lock, one buffer insert and one tracker update per
-//! batch rather than per node.
+//! Workers therefore touch no shared state except the work FIFO, the result
+//! map and the append-only intern tables: no claims, no speculative
+//! children, no spill IO, and one lock per batch rather than per node.
 //!
 //! A pool only pays once a frontier is wide, so every run starts on the
 //! calling thread with the sequential engine's admission queue. The first
 //! time the live frontier holds `MIN_PARALLEL_CONFIGS` nodes, the run
-//! spawns its workers, deals them the queue in admission order and reserves
-//! room in the seen set for the whole run; a narrower run spawns no thread
-//! at all.
+//! spawns its workers and reserves room in the seen set for the whole run;
+//! a narrower run spawns no thread at all. The queue stays where it is: the
+//! committer keeps admitting into it and tops the pool up from its head
+//! whenever fewer than a fixed window of nodes are dealt but not yet taken.
 //!
 //! # Determinism argument
 //!
@@ -61,34 +61,34 @@
 //!
 //! # Memory-bounded frontiers
 //!
-//! All three queues that scale with frontier width — the sequential
-//! engine's admission queue, the pool's per-worker deques, and the
-//! committer's reorder buffer of batch records — live in [`crate::frontier`]
-//! stores: within [`ExploreLimits::memory_budget`] they are the plain
-//! in-memory structures described above; past it, backlogs delta-compress
-//! ([`cbh_model::packed::delta`]) into a temp-file arena and stream back. A
-//! batch record parks whole, and only if every result in it is `Ok`.
-//! Spilling only moves *where* a node waits, never the order the committer
-//! consumes results in, so the determinism argument — and bit-identical
-//! `(ExploreOutcome, ExploreStats)` — holds at any budget; the budgeted
-//! runs additionally report [`ExploreStats::bytes_spilled`] and
+//! The one queue that scales with frontier width — the admission queue —
+//! is a [`crate::frontier`] store: within [`ExploreLimits::memory_budget`]
+//! it is a plain in-memory deque; past it, its backlog delta-compresses
+//! ([`cbh_model::packed::delta`]) into a temp-file arena and streams back in
+//! admission order. The pool's window bounds everything else a parallel run
+//! holds per node (dealt batches and their result records), so that stays
+//! in memory, charged to the run's tracker. Spilling only moves *where* a
+//! node waits, never the order the committer consumes results in, so the
+//! determinism argument — and bit-identical `(ExploreOutcome,
+//! ExploreStats)` — holds at any budget; the budgeted runs additionally
+//! report [`ExploreStats::bytes_spilled`] and
 //! [`ExploreStats::peak_resident_bytes`] (telemetry, excluded from stats
 //! equality).
 
 use crate::checker::{schedule_of, ExploreLimits, ExploreOutcome, ExploreStats, Link, NO_LINK};
 use crate::fpset::SeenBackend;
-use crate::frontier::{FrontierStore, ReorderBuffer, SpillCodec, SpillContext, SpillError};
+use crate::frontier::{FrontierStore, SpillCodec, SpillContext, SpillError};
 use crate::snapshot::{Snapshot, SnapshotError, NO_PARENT};
 use cbh_model::packed::delta::{read_varint, write_varint};
 use cbh_model::{apply_delta, apply_delta_into, decode_flat, encode_delta, encode_flat, PackedCache, PackedCtx,
     PackedState, Process, Protocol};
 use cbh_sim::{Machine, SimError};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread::Scope;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // The snapshot wire format and the engine share the "no parent" sentinel, so
 // links round-trip without translation.
@@ -97,7 +97,7 @@ const _: () = assert!(NO_PARENT == NO_LINK);
 /// Tolerated overrun above [`ExploreLimits::memory_budget`] before the
 /// engine gives up with [`SimError::Budget`]: covers the evictable stores'
 /// bounded slack (in-flight double-buffered spill writes, one streamed-back
-/// run, merge buffers) — the same envelope the budget-stress suite asserts
+/// run, merge buffers) and a pool's window of dealt nodes — the same envelope the budget-stress suite asserts
 /// `peak_resident_bytes` stays within. Append-only intern tables that push
 /// residency past it cannot be evicted, so continuing would silently break
 /// the cap.
@@ -162,13 +162,13 @@ pub(crate) struct Node {
 }
 
 /// One unit of pool work: a batch of nodes (admission siblings ride
-/// together, so the per-task synchronisation — deque push, wakeup, result
+/// together, so the per-task synchronisation — FIFO push, wakeup, result
 /// insertion — is paid once per batch instead of once per node).
 type Batch = Vec<Node>;
 
-/// Bounds on the adaptive batch size (see [`PoolSource::batch_target`]).
+/// Bounds on the adaptive batch size (see `ParSource::batch_target`).
 /// Batches amortise the pool's per-task mutex and condvar traffic, but a
-/// batch also rides one deque slot — too coarse and a narrow frontier lands
+/// batch also goes to one worker — too coarse and a narrow frontier lands
 /// on one worker while the rest starve. The committer therefore sizes each
 /// batch from the live outstanding-node count instead of a fixed constant.
 const MIN_BATCH: usize = 1;
@@ -194,232 +194,104 @@ pub(crate) struct Expansion {
 
 /// An expanded node: the node itself travels back so the committer can
 /// materialise admitted children from its state.
-#[derive(Debug, PartialEq)]
 struct NodeResult {
     node: Node,
     out: Result<Expansion, SimError>,
 }
 
 /// An expanded batch, in dispatch order: the pool's unit of hand-off to the
-/// committer, keyed in the reorder buffer by its first node's index.
+/// committer, keyed in the pool's result map by its first node's index.
 type ResultBatch = Vec<NodeResult>;
 
 // ---------------------------------------------------------------------------
-// Spill codecs: how the engine's queues cross the memory/disk boundary
+// Spill codec: how the admission queue crosses the memory/disk boundary
 // ---------------------------------------------------------------------------
 
-/// Encodes one node; `base` is the spill run's previous state (delta base).
-/// The state rides last and unframed — both state decoders are strict, so
-/// the record's end delimits it.
-fn encode_node(node: &Node, base: Option<&PackedState>, out: &mut Vec<u8>) {
-    write_varint(out, node.index as u64);
-    out.extend_from_slice(&node.fp.to_le_bytes());
-    out.push(u8::from(node.expand));
-    match base {
-        Some(base) => {
-            out.push(1);
-            encode_delta(base, &node.state, out);
-        }
-        None => {
-            out.push(0);
-            encode_flat(&node.state, out);
-        }
-    }
-}
-
-fn decode_node(mut bytes: &[u8], base: Option<&PackedState>) -> Node {
-    let index = read_varint(&mut bytes).expect("node record: index") as usize;
-    let (fp_bytes, rest) = bytes.split_at(16);
-    let fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
-    let expand = rest[0] != 0;
-    let tag = rest[1];
-    let state_bytes = &rest[2..];
-    let state = match (tag, base) {
-        (1, Some(base)) => apply_delta(base, state_bytes).expect("node record: delta"),
-        (0, _) => decode_flat(state_bytes).expect("node record: flat state"),
-        _ => unreachable!("spill record base/tag mismatch"),
-    };
-    Node {
-        index,
-        state,
-        fp,
-        expand,
-    }
-}
-
-/// Codec for the sequential engine's admission queue: records chain across
-/// the whole run, each state a delta against the previously spilled one.
+/// Codec for the admission queue: records chain across the whole run, each
+/// state a delta against the previously spilled one. The state rides last
+/// and unframed — both state decoders are strict, so the record's end
+/// delimits it.
 pub(crate) struct NodeCodec;
+
+fn corrupt_node(detail: impl std::fmt::Display) -> SpillError {
+    SpillError::Corrupt {
+        detail: format!("node record: {detail}"),
+    }
+}
+
+/// Parses a node record's fixed fields with checked reads: its index,
+/// digest, expand flag, base tag (0 flat, 1 delta) and the state bytes.
+fn decode_header(mut bytes: &[u8]) -> Result<(usize, u128, bool, u8, &[u8]), SpillError> {
+    let index = read_varint(&mut bytes).map_err(corrupt_node)?;
+    let index = usize::try_from(index).map_err(corrupt_node)?;
+    let (fp, rest) = bytes
+        .split_first_chunk::<16>()
+        .ok_or_else(|| corrupt_node("short digest"))?;
+    let [expand, tag, state @ ..] = rest else {
+        return Err(corrupt_node("truncated flags"));
+    };
+    if *tag > 1 {
+        return Err(corrupt_node(format_args!("bad base tag {tag}")));
+    }
+    Ok((index, u128::from_le_bytes(*fp), *expand != 0, *tag, state))
+}
 
 impl SpillCodec for NodeCodec {
     type Item = Node;
 
     fn encode(&self, node: &Node, prev: Option<&Node>, out: &mut Vec<u8>) {
-        encode_node(node, prev.map(|p| &p.state), out);
+        write_varint(out, node.index as u64);
+        out.extend_from_slice(&node.fp.to_le_bytes());
+        out.push(u8::from(node.expand));
+        match prev {
+            Some(base) => {
+                out.push(1);
+                encode_delta(&base.state, &node.state, out);
+            }
+            None => {
+                out.push(0);
+                encode_flat(&node.state, out);
+            }
+        }
     }
 
-    fn decode(&self, bytes: &[u8], prev: Option<&Node>) -> Node {
-        decode_node(bytes, prev.map(|p| &p.state))
+    fn decode(&self, bytes: &[u8], prev: Option<&Node>) -> Result<Node, SpillError> {
+        let (index, fp, expand, tag, state_bytes) = decode_header(bytes)?;
+        let state = match (tag, prev) {
+            (0, _) => decode_flat(state_bytes).map_err(corrupt_node)?,
+            (_, Some(base)) => apply_delta(&base.state, state_bytes).map_err(corrupt_node)?,
+            (_, None) => return Err(corrupt_node("delta record without a base")),
+        };
+        Ok(Node {
+            index,
+            state,
+            fp,
+            expand,
+        })
     }
 
     /// Streamed-back records patch the chained base **in place** (a delta
     /// touches a handful of positions) and clone once to return — instead of
     /// building a state from the base and cloning it again for the chain.
-    fn decode_step(&self, mut bytes: &[u8], prev: &mut Option<Node>) -> Node {
+    fn decode_step(&self, bytes: &[u8], prev: &mut Option<Node>) -> Result<Node, SpillError> {
         let Some(node) = prev else {
-            let item = self.decode(bytes, None);
+            let item = self.decode(bytes, None)?;
             *prev = Some(item.clone());
-            return item;
+            return Ok(item);
         };
-        node.index = read_varint(&mut bytes).expect("node record: index") as usize;
-        let (fp_bytes, rest) = bytes.split_at(16);
-        node.fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
-        node.expand = rest[0] != 0;
-        let tag = rest[1];
-        let state_bytes = &rest[2..];
+        let (index, fp, expand, tag, state_bytes) = decode_header(bytes)?;
         match tag {
-            1 => apply_delta_into(&mut node.state, state_bytes).expect("node record: delta"),
-            0 => node.state = decode_flat(state_bytes).expect("node record: flat state"),
-            _ => unreachable!("spill record base/tag mismatch"),
+            0 => node.state = decode_flat(state_bytes).map_err(corrupt_node)?,
+            _ => apply_delta_into(&mut node.state, state_bytes).map_err(corrupt_node)?,
         }
-        node.clone()
+        node.index = index;
+        node.fp = fp;
+        node.expand = expand;
+        Ok(node.clone())
     }
 
     fn cost(&self, node: &Node) -> usize {
         std::mem::size_of::<Node>() + node.state.resident_bytes()
-    }
-}
-
-/// Codec for the pool's per-worker deques: a record is a whole batch, its
-/// nodes length-framed and delta-chained (admission siblings compress
-/// against each other; the first node chains to the previous batch's last).
-struct BatchCodec;
-
-impl SpillCodec for BatchCodec {
-    type Item = Batch;
-
-    fn encode(&self, batch: &Batch, prev: Option<&Batch>, out: &mut Vec<u8>) {
-        write_varint(out, batch.len() as u64);
-        let mut base = prev.and_then(|b| b.last()).map(|n| &n.state);
-        let mut record = Vec::new();
-        for node in batch {
-            record.clear();
-            encode_node(node, base, &mut record);
-            write_varint(out, record.len() as u64);
-            out.extend_from_slice(&record);
-            base = Some(&node.state);
-        }
-    }
-
-    fn decode(&self, mut bytes: &[u8], prev: Option<&Batch>) -> Batch {
-        let count = read_varint(&mut bytes).expect("batch record: count") as usize;
-        let mut batch = Vec::with_capacity(count);
-        for _ in 0..count {
-            let len = read_varint(&mut bytes).expect("batch record: framing") as usize;
-            let base = batch.last().or_else(|| prev.and_then(|b: &Batch| b.last()));
-            let node = decode_node(&bytes[..len], base.map(|n: &Node| &n.state));
-            bytes = &bytes[len..];
-            batch.push(node);
-        }
-        batch
-    }
-
-    /// Only the chain's *last* node ever serves as a delta base, so keep a
-    /// one-node stub instead of cloning the whole batch between records.
-    fn decode_step(&self, bytes: &[u8], prev: &mut Option<Batch>) -> Batch {
-        let batch = self.decode(bytes, prev.as_ref());
-        // An empty batch leaves the chain where it was, exactly as `encode`
-        // leaves its base untouched when it writes zero nodes.
-        if let Some(last) = batch.last() {
-            *prev = Some(vec![last.clone()]);
-        }
-        batch
-    }
-
-    fn cost(&self, batch: &Batch) -> usize {
-        batch
-            .iter()
-            .map(|n| std::mem::size_of::<Node>() + n.state.resident_bytes())
-            .sum()
-    }
-}
-
-/// Codec for the committer's reorder buffer. A record is one expanded
-/// batch, parked whole (no run chaining): each node record is framed like
-/// [`BatchCodec`]'s, its state a delta against its batch predecessor's, and
-/// its expansion follows it. Batches holding an error result are never
-/// parked (the committer consumes and propagates errors immediately).
-struct ResultCodec;
-
-impl SpillCodec for ResultCodec {
-    type Item = ResultBatch;
-
-    fn encode(&self, batch: &ResultBatch, _prev: Option<&ResultBatch>, out: &mut Vec<u8>) {
-        write_varint(out, batch.len() as u64);
-        let mut base = None;
-        let mut record = Vec::new();
-        for result in batch {
-            let expansion = result.out.as_ref().expect("error batches are unspillable");
-            record.clear();
-            encode_node(&result.node, base, &mut record);
-            write_varint(out, record.len() as u64);
-            out.extend_from_slice(&record);
-            base = Some(&result.node.state);
-            out.push(u8::from(expansion.has_active));
-            write_varint(out, expansion.solo_failure.map_or(0, |pid| pid as u64 + 1));
-            write_varint(out, expansion.edges.len() as u64);
-            for edge in &expansion.edges {
-                write_varint(out, edge.pid as u64);
-                out.extend_from_slice(&edge.fp.to_le_bytes());
-            }
-        }
-    }
-
-    fn decode(&self, mut bytes: &[u8], _prev: Option<&ResultBatch>) -> ResultBatch {
-        let count = read_varint(&mut bytes).expect("result record: count") as usize;
-        let mut batch: ResultBatch = Vec::with_capacity(count);
-        for _ in 0..count {
-            let len = read_varint(&mut bytes).expect("result record: framing") as usize;
-            let node = decode_node(&bytes[..len], batch.last().map(|r| &r.node.state));
-            let has_active = bytes[len] != 0;
-            bytes = &bytes[len + 1..];
-            let solo_failure = match read_varint(&mut bytes).expect("result record: solo pid") {
-                0 => None,
-                pid => Some(pid as usize - 1),
-            };
-            let edge_count = read_varint(&mut bytes).expect("result record: edges") as usize;
-            let mut edges = Vec::with_capacity(edge_count);
-            for _ in 0..edge_count {
-                let pid = read_varint(&mut bytes).expect("result record: pid") as usize;
-                let (fp_bytes, rest) = bytes.split_at(16);
-                let fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
-                bytes = rest;
-                edges.push(Edge { pid, fp });
-            }
-            let out = Ok(Expansion {
-                solo_failure,
-                has_active,
-                edges,
-            });
-            batch.push(NodeResult { node, out });
-        }
-        batch
-    }
-
-    fn cost(&self, batch: &ResultBatch) -> usize {
-        batch
-            .iter()
-            .map(|r| {
-                let edges = r.out.as_ref().map_or(0, |e| e.edges.len());
-                std::mem::size_of::<NodeResult>()
-                    + r.node.state.resident_bytes()
-                    + edges * std::mem::size_of::<Edge>()
-            })
-            .sum()
-    }
-
-    fn spillable(&self, batch: &ResultBatch) -> bool {
-        batch.iter().all(|r| r.out.is_ok())
     }
 }
 
@@ -496,17 +368,17 @@ fn expand_batch<P: Process>(
 // ---------------------------------------------------------------------------
 
 /// The committer's view of the expansion machinery: it hands out tasks and
-/// asks for node results in admission order. Sequential and work-stealing
+/// asks for node results in admission order. Sequential and pooled
 /// implementations share the one committer, which is what makes them
-/// bit-identical. Both calls are fallible because a budgeted run's queues
+/// bit-identical. Both calls are fallible because a budgeted run's queue
 /// may touch disk.
 trait ResultSource<P: Process> {
     fn dispatch(&mut self, node: Node) -> Result<(), SimError>;
     fn take(&mut self, index: usize) -> Result<NodeResult, SimError>;
     /// Called once, the first time the live frontier is wide; `true` if
     /// that started a pool.
-    fn widen(&mut self) -> Result<bool, SimError> {
-        Ok(false)
+    fn widen(&mut self) -> bool {
+        false
     }
 }
 
@@ -552,110 +424,47 @@ impl<P: Process> ResultSource<P> for SeqSource<'_, P> {
 
 /// Everything the worker threads and the committer share.
 struct Pool {
-    /// One deque per worker: the committer deals node batches round-robin;
-    /// owners pop the front, idle workers steal from the front of other
-    /// deques (FIFO everywhere keeps completion roughly in admission order,
-    /// which keeps the committer's reorder buffer small). Each deque is a
-    /// budgeted [`FrontierStore`], so backlogged batches spill rather than
-    /// accumulate.
-    deques: Vec<Mutex<FrontierStore<BatchCodec>>>,
-    /// Expanded batches, keyed by their first admission index; large-index
-    /// batches park in the spill arena past the budget.
-    results: Mutex<ReorderBuffer<ResultCodec>>,
-    results_ready: Condvar,
-    /// Parking lot for idle workers.
-    idle: Mutex<()>,
+    /// Batches dealt from the head of the admission queue, oldest first.
+    /// Workers and the helping committer pop the front, so completion runs
+    /// roughly in admission order.
+    work: Mutex<VecDeque<Batch>>,
     work_ready: Condvar,
+    /// Expanded batches, keyed by their first admission index. The window
+    /// bounds how many exist at once.
+    results: Mutex<HashMap<usize, ResultBatch>>,
+    results_ready: Condvar,
     stop: AtomicBool,
-    /// First spill-IO failure observed by any pool thread. A worker that
-    /// hits one records it here and stops the pool; the committer turns it
-    /// into a clean [`SimError::Spill`] instead of the abnormal-termination
-    /// panic reserved for genuine worker crashes.
-    io_error: Mutex<Option<SpillError>>,
 }
 
 impl Pool {
-    fn pop_batch(&self, home: usize) -> Result<Option<Batch>, SpillError> {
-        let workers = self.deques.len();
-        for offset in 0..workers {
-            let deque = &self.deques[(home + offset) % workers];
-            if let Some(batch) = deque.lock().unwrap().pop()? {
-                return Ok(Some(batch));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Records the first spill failure (later ones lose the race and are
-    /// dropped: one failure already stops the run).
-    fn record_io_error(&self, err: SpillError) {
-        self.io_error
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get_or_insert(err);
-    }
-
-    /// Takes the recorded spill failure, if any (committer side).
-    fn take_io_error(&self) -> Option<SpillError> {
-        self.io_error
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-    }
-
-    fn worker_loop<P: Process>(&self, ctx: &PackedCtx<P>, cfg: RunCfg, home: usize) {
+    fn worker_loop<P: Process>(&self, ctx: &PackedCtx<P>, cfg: RunCfg) {
         let _guard = StopGuard(self);
         // Thread-local read-through view of the shared intern tables; lives
         // for the whole run, so entries are fetched under a shard lock at
         // most once per worker (unless a budget caps and clears it).
         let mut cache = PackedCache::new();
         loop {
-            if self.stop.load(Ordering::Acquire) {
-                return; // abandon queued leftovers: the run is decided
-            }
-            let popped = match self.pop_batch(home) {
-                Ok(popped) => popped,
-                Err(err) => {
-                    // StopGuard (not us) wakes the committer, which maps the
-                    // recorded error to a clean outcome.
-                    self.record_io_error(err);
-                    return;
+            let batch = {
+                let mut work = self.work.lock().unwrap();
+                loop {
+                    // Checked under the lock `StopGuard` notifies under, so
+                    // a stop cannot slip between this check and the wait.
+                    if self.stop.load(Ordering::Acquire) {
+                        return; // abandon dealt leftovers: the run is decided
+                    }
+                    if let Some(batch) = work.pop_front() {
+                        break batch;
+                    }
+                    work = self.work_ready.wait(work).unwrap();
                 }
             };
-            if let Some(batch) = popped {
-                // The whole batch is one record: one lock, one buffer
-                // insert, one committer wakeup.
-                let first = batch[0].index;
-                let results = expand_batch(ctx, cfg, &mut cache, batch);
-                if let Err(err) = self.results.lock().unwrap().insert(first, results) {
-                    self.record_io_error(err);
-                    return;
-                }
-                self.results_ready.notify_one();
-                continue;
-            }
-            // Nothing to run or steal: park. The re-check under the idle
-            // lock pairs with `dispatch` taking the same lock around its
-            // notify, so a task pushed between our failed pop and the wait
-            // cannot be missed; the timeout is pure belt-and-braces.
-            let guard = self.idle.lock().unwrap();
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-            if self.pop_would_succeed() {
-                continue;
-            }
-            let _ = self
-                .work_ready
-                .wait_timeout(guard, Duration::from_millis(10))
-                .unwrap();
+            // The whole batch is one record: one lock, one map insert, one
+            // committer wakeup.
+            let first = batch[0].index;
+            let results = expand_batch(ctx, cfg, &mut cache, batch);
+            self.results.lock().unwrap().insert(first, results);
+            self.results_ready.notify_one();
         }
-    }
-
-    fn pop_would_succeed(&self) -> bool {
-        self.deques
-            .iter()
-            .any(|deque| !deque.lock().unwrap().is_empty())
     }
 }
 
@@ -673,206 +482,164 @@ impl Drop for StopGuard<'_> {
         // is its whole job), where finding a mutex the panicking thread
         // poisoned is expected — an `unwrap` here would be a panic inside a
         // drop, turning a clean unwind into a process abort.
-        let guard = self.0.idle.lock().unwrap_or_else(|e| e.into_inner());
+        let work = self.0.work.lock().unwrap_or_else(|e| e.into_inner());
         self.0.work_ready.notify_all();
-        drop(guard);
+        drop(work);
         let results = self.0.results.lock().unwrap_or_else(|e| e.into_inner());
         self.0.results_ready.notify_all();
         drop(results);
     }
 }
 
-/// Work-stealing source: the committer side of the pool.
-struct PoolSource<'p, P: Process> {
-    pool: &'p Pool,
-    ctx: &'p PackedCtx<P>,
-    cfg: RunCfg,
-    /// The committer's own intern cache, used when it helps expand.
-    cache: PackedCache<P>,
-    next_deque: usize,
-    /// Nodes admitted but not yet pushed to a deque; flushed as one batch.
-    pending: Batch,
-    /// Nodes dispatched but not yet taken — the live frontier width the
-    /// batch size adapts to.
-    outstanding: usize,
-    /// The rest of the batch record being committed, drained without
-    /// touching the shared buffer again.
-    drained: std::vec::IntoIter<NodeResult>,
-}
-
-impl<P: Process> PoolSource<'_, P> {
-    /// Live batch size: a fraction of the outstanding work per worker, so
-    /// wide frontiers amortise pool traffic with big batches while narrow
-    /// ones split into single nodes that spread across workers instead of
-    /// queueing behind one.
-    fn batch_target(&self) -> usize {
-        (self.outstanding / (4 * self.pool.deques.len())).clamp(MIN_BATCH, MAX_BATCH)
-    }
-
-    fn flush(&mut self) -> Result<(), SimError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let batch = std::mem::take(&mut self.pending);
-        let deques = &self.pool.deques;
-        deques[self.next_deque % deques.len()]
-            .lock()
-            .unwrap()
-            .push(batch)?;
-        self.next_deque += 1;
-        // Serialize the notify against the workers' park re-check: a worker
-        // either holds `idle` (and will observe the push above), or is
-        // already waiting (and receives this notification).
-        let _guard = self.pool.idle.lock().unwrap();
-        self.pool.work_ready.notify_one();
-        Ok(())
-    }
-
-    /// Pops one backlogged batch and expands it on the committer's thread —
-    /// what `take` does instead of sleeping while its result is in flight.
-    /// Returns `false` if every deque was empty.
-    fn help(&mut self) -> Result<bool, SimError> {
-        let Some(batch) = self.pool.pop_batch(self.next_deque % self.pool.deques.len())? else {
-            return Ok(false);
-        };
-        let first = batch[0].index;
-        let results = expand_batch(self.ctx, self.cfg, &mut self.cache, batch);
-        self.pool.results.lock().unwrap().insert(first, results)?;
-        Ok(true)
-    }
-
-    /// Waits for the batch record whose first node is `index`.
-    fn take_batch(&mut self, index: usize) -> Result<ResultBatch, SimError> {
-        // Nodes buffer in admission order, so the buffer's first index is
-        // its minimum: flush iff the node we are about to wait for (or any
-        // earlier one) is still sitting in the buffer.
-        if self.pending.first().is_some_and(|node| node.index <= index) {
-            self.flush()?;
-        }
-        loop {
-            {
-                let mut results = self.pool.results.lock().unwrap();
-                if let Some(batch) = results.remove(index)? {
-                    return Ok(batch);
-                }
-                // `stop` flips mid-run only when a worker unwound (its
-                // StopGuard) or hit a spill failure; without this check the
-                // committer would wait forever for the batch that worker
-                // was computing.
-                if self.pool.stop.load(Ordering::Acquire) {
-                    drop(results);
-                    return Err(self.stopped_abnormally());
-                }
-            }
-            // The batch is in flight. Expand a backlogged batch ourselves
-            // rather than sleeping — on saturated machines the committer is
-            // effectively one more worker; on oversubscribed ones it keeps
-            // progress independent of the scheduler.
-            if self.help()? {
-                continue;
-            }
-            // Nothing to help with: park until a worker delivers. The
-            // re-check under the lock pairs with the workers' insert-then-
-            // notify; the timeout covers the window between our failed help
-            // and the wait.
-            let mut results = self.pool.results.lock().unwrap();
-            if let Some(batch) = results.remove(index)? {
-                return Ok(batch);
-            }
-            if self.pool.stop.load(Ordering::Acquire) {
-                drop(results);
-                return Err(self.stopped_abnormally());
-            }
-            let _ = self
-                .pool
-                .results_ready
-                .wait_timeout(results, Duration::from_millis(10))
-                .unwrap();
-        }
-    }
-
-    /// A worker stopped the pool mid-run: a recorded spill failure becomes a
-    /// clean error, anything else is the abnormal-termination panic.
-    fn stopped_abnormally(&self) -> SimError {
-        match self.pool.take_io_error() {
-            Some(err) => err.into(),
-            None => panic!("explorer worker terminated abnormally"),
-        }
-    }
-}
-
-impl<P: Process> ResultSource<P> for PoolSource<'_, P> {
-    fn dispatch(&mut self, node: Node) -> Result<(), SimError> {
-        self.pending.push(node);
-        self.outstanding += 1;
-        if self.pending.len() >= self.batch_target() {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, index: usize) -> Result<NodeResult, SimError> {
-        // Takes follow dispatch order and batches are flushed in that order,
-        // so once a record is drained the next index opens the next record.
-        let result = match self.drained.next() {
-            Some(result) => result,
-            None => {
-                self.drained = self.take_batch(index)?.into_iter();
-                self.drained.next().expect("batches are never empty")
-            }
-        };
-        debug_assert_eq!(result.node.index, index, "batches drain in admission order");
-        self.outstanding -= 1;
-        Ok(result)
-    }
-}
+/// Dealt-but-untaken nodes a pool may hold, in full batches per worker.
+/// One batch each keeps every worker busy while the committer drains the
+/// oldest record, and it bounds what the pool holds beyond the admission
+/// queue: at 8 workers 512 nodes, 2.3 MB of `tas-reset` n=4's 4.4 KB
+/// states, inside `BUDGET_OVERRUN_SLACK`. Larger windows measured no faster
+/// on `deep_explore`.
+const WINDOW_BATCHES_PER_WORKER: usize = 1;
 
 #[cfg(test)]
 thread_local! {
     /// Pools started on this thread: a test sees narrow runs never spawn.
     static POOL_STARTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Most nodes a pool driven from this thread held dealt but untaken.
+    static WINDOW_PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A parallel run's source: the inline [`SeqSource`] until the frontier is
-/// wide, then the pool, whose workers [`ResultSource::widen`] spawns in the
-/// run's thread scope and deals the inline queue in admission order.
+/// wide; then [`ResultSource::widen`] spawns the workers in the run's thread
+/// scope, and the committer deals them batches from the head of the same
+/// admission queue, never more than the window at a time.
 struct ParSource<'s, 'e, P: Process> {
     scope: &'s Scope<'s, 'e>,
-    /// `Some` until the handoff.
-    inline: Option<SeqSource<'e, P>>,
-    pool: PoolSource<'e, P>,
+    pool: &'e Pool,
+    workers: usize,
+    mem: &'e SpillContext,
+    /// The admission queue, and the committer's cache for helping.
+    inline: SeqSource<'e, P>,
+    live: bool,
+    /// Nodes dealt to the pool but not yet taken.
+    in_flight: usize,
+    /// The rest of the result record being committed, drained without
+    /// touching the shared map again.
+    drained: std::vec::IntoIter<NodeResult>,
+}
+
+impl<P: Process> ParSource<'_, '_, P> {
+    fn window(&self) -> usize {
+        WINDOW_BATCHES_PER_WORKER * self.workers * MAX_BATCH
+    }
+
+    /// Live batch size: a fraction of the outstanding work per worker, so
+    /// wide frontiers amortise pool traffic with big batches while narrow
+    /// ones split into single nodes that spread across workers instead of
+    /// queueing behind one.
+    fn batch_target(&self) -> usize {
+        let outstanding = self.inline.queue.len() + self.in_flight;
+        (outstanding / (4 * self.workers)).clamp(MIN_BATCH, MAX_BATCH)
+    }
+
+    /// Tops the pool up from the head of the admission queue: a full batch
+    /// whenever the window has room for one, and a short one only when the
+    /// pool holds nothing (the committer's next node is then at the head).
+    fn deal(&mut self) -> Result<(), SimError> {
+        loop {
+            let target = self.batch_target();
+            let size = target.min(self.inline.queue.len());
+            let fits = self.in_flight == 0 || (size == target && self.in_flight + size <= self.window());
+            if size == 0 || !fits {
+                return Ok(());
+            }
+            let mut batch = Vec::with_capacity(size);
+            for _ in 0..size {
+                let node = self.inline.queue.pop()?.expect("queue holds `size` nodes");
+                self.mem.tracker().add_resident(NodeCodec.cost(&node));
+                batch.push(node);
+            }
+            self.in_flight += size;
+            #[cfg(test)]
+            WINDOW_PEAK.with(|peak| peak.set(peak.get().max(self.in_flight)));
+            self.pool.work.lock().unwrap().push_back(batch);
+            self.pool.work_ready.notify_one();
+        }
+    }
+
+    /// Waits for the result record whose first node is `index`, expanding
+    /// dealt batches itself while that record is in flight.
+    fn take_batch(&mut self, index: usize) -> ResultBatch {
+        loop {
+            if let Some(batch) = self.pool.results.lock().unwrap().remove(&index) {
+                return batch;
+            }
+            // Rather than sleep, expand the oldest dealt batch: on saturated
+            // machines the committer is effectively one more worker; on
+            // oversubscribed ones it keeps progress independent of the
+            // scheduler.
+            let Some(batch) = self.pool.work.lock().unwrap().pop_front() else {
+                break;
+            };
+            let first = batch[0].index;
+            let results = expand_batch(self.inline.ctx, self.inline.cfg, &mut self.inline.cache, batch);
+            if first == index {
+                return results;
+            }
+            self.pool.results.lock().unwrap().insert(first, results);
+        }
+        // Only the committer deals, so nothing is left to help with: the
+        // record is with a worker. Park until it arrives; the check under
+        // the lock pairs with the workers' insert-then-notify.
+        let mut results = self.pool.results.lock().unwrap();
+        loop {
+            if let Some(batch) = results.remove(&index) {
+                return batch;
+            }
+            // `stop` flips mid-run only when a worker unwound (its
+            // StopGuard); without this check the committer would wait
+            // forever for the record that worker was computing.
+            assert!(
+                !self.pool.stop.load(Ordering::Acquire),
+                "explorer worker terminated abnormally"
+            );
+            results = self.pool.results_ready.wait(results).unwrap();
+        }
+    }
 }
 
 impl<P: Process + Send + Sync> ResultSource<P> for ParSource<'_, '_, P> {
     fn dispatch(&mut self, node: Node) -> Result<(), SimError> {
-        match &mut self.inline {
-            Some(inline) => inline.dispatch(node),
-            None => self.pool.dispatch(node),
-        }
+        self.inline.dispatch(node)
     }
 
     fn take(&mut self, index: usize) -> Result<NodeResult, SimError> {
-        match &mut self.inline {
-            Some(inline) => inline.take(index),
-            None => self.pool.take(index),
+        if !self.live {
+            return self.inline.take(index);
         }
+        self.deal()?;
+        // Takes follow admission order and batches are dealt in that order,
+        // so once a record is drained the next index opens the next record.
+        let result = match self.drained.next() {
+            Some(result) => result,
+            None => {
+                self.drained = self.take_batch(index).into_iter();
+                self.drained.next().expect("batches are never empty")
+            }
+        };
+        debug_assert_eq!(result.node.index, index, "batches drain in admission order");
+        self.in_flight -= 1;
+        self.mem.tracker().sub_resident(NodeCodec.cost(&result.node));
+        Ok(result)
     }
 
-    fn widen(&mut self) -> Result<bool, SimError> {
-        let Some(mut inline) = self.inline.take() else {
-            return Ok(false);
-        };
+    fn widen(&mut self) -> bool {
         #[cfg(test)]
         POOL_STARTS.with(|starts| starts.set(starts.get() + 1));
-        let (pool, ctx, cfg) = (self.pool.pool, self.pool.ctx, self.pool.cfg);
-        for home in 0..pool.deques.len() {
-            self.scope.spawn(move || pool.worker_loop(ctx, cfg, home));
+        let (pool, ctx, cfg) = (self.pool, self.inline.ctx, self.inline.cfg);
+        for _ in 0..self.workers {
+            self.scope.spawn(move || pool.worker_loop(ctx, cfg));
         }
-        self.pool.cache = inline.cache;
-        while let Some(node) = inline.queue.pop()? {
-            self.pool.dispatch(node)?;
-        }
-        Ok(true)
+        self.live = true;
+        true
     }
 }
 
@@ -1071,7 +838,7 @@ where
         // pool, and then the seen set reserves room for the whole run.
         if !wide && meta.len() - next_commit - inline_active.len() >= MIN_PARALLEL_CONFIGS {
             wide = true;
-            if source.widen()? {
+            if source.widen() {
                 admit.reserve(limits.max_configs);
             }
         }
@@ -1289,7 +1056,7 @@ fn start<P: Protocol>(
 }
 
 /// Parallel packed exploration: starts inline like [`explore_packed_seq`]
-/// and hands its frontier to a persistent work-stealing pool of `workers`
+/// and hands its frontier to a persistent pool of `workers`
 /// threads once it is wide, with optional periodic checkpoints and an
 /// optional snapshot to resume from.
 #[allow(clippy::too_many_arguments)]
@@ -1310,30 +1077,22 @@ where
     }
     let (ctx, root, cfg, mem) = start(protocol, inputs, limits, symmetric, resume)?;
     let pool = Pool {
-        deques: (0..workers)
-            .map(|_| Mutex::new(FrontierStore::new(BatchCodec, mem.clone())))
-            .collect(),
-        results: Mutex::new(ReorderBuffer::new(ResultCodec, mem.clone())),
-        results_ready: Condvar::new(),
-        idle: Mutex::new(()),
+        work: Mutex::new(VecDeque::new()),
         work_ready: Condvar::new(),
+        results: Mutex::new(HashMap::new()),
+        results_ready: Condvar::new(),
         stop: AtomicBool::new(false),
-        io_error: Mutex::new(None),
     };
     std::thread::scope(|scope| {
         let mut source = ParSource {
             scope,
-            inline: Some(SeqSource::new(&ctx, cfg, &mem)),
-            pool: PoolSource {
-                pool: &pool,
-                ctx: &ctx,
-                cfg,
-                cache: PackedCache::new(),
-                next_deque: 0,
-                pending: Vec::new(),
-                outstanding: 0,
-                drained: Vec::new().into_iter(),
-            },
+            pool: &pool,
+            workers,
+            mem: &mem,
+            inline: SeqSource::new(&ctx, cfg, &mem),
+            live: false,
+            in_flight: 0,
+            drained: Vec::new().into_iter(),
         };
         // The guard (not explicit code) stops the pool, so the workers are
         // released even if `drive` panics mid-commit — otherwise the scope's
@@ -1379,57 +1138,41 @@ mod tests {
         }
     }
 
-    /// A batch record mixing every result shape: a solo failure (budget 0
-    /// fails the first active pid), an edge-free horizon node, and two
-    /// multi-edge nodes.
-    fn mixed_batch(first: usize) -> ResultBatch {
+    #[test]
+    fn node_records_decode_totally() {
         let machine = Machine::start(&MaxRegConsensus::new(3), &[0, 1, 2]).unwrap();
         let ctx = machine.packed_ctx();
-        let mut cache = PackedCache::new();
         let root = machine.pack(&ctx);
-        let child = ctx.branch_step_cached(&mut cache, &root, 1).unwrap();
-        let plain = RunCfg { solo_budget: None, symmetric: false, cache_cap: None };
-        let solo = RunCfg { solo_budget: Some(0), ..plain };
-        [(&root, true, solo), (&child, false, plain), (&root, true, plain), (&child, true, plain)]
-            .into_iter()
-            .enumerate()
-            .map(|(i, (state, expand, cfg))| {
-                let fp = ctx.digest(state, false);
-                let node = Node { index: first + 2 * i, state: state.clone(), fp, expand };
-                let out = expand_node(&ctx, &node, cfg, &mut cache);
-                NodeResult { node, out }
-            })
-            .collect()
-    }
+        let child = ctx.branch_step(&root, 1).unwrap();
+        let node = |index, state: &PackedState| Node { index, fp: ctx.digest(state, false), state: state.clone(), expand: true };
+        let (first, second) = (node(3, &root), node(4, &child));
+        let (mut flat, mut delta) = (Vec::new(), Vec::new());
+        NodeCodec.encode(&first, None, &mut flat);
+        NodeCodec.encode(&second, Some(&first), &mut delta);
+        assert_eq!(NodeCodec.decode(&flat, None), Ok(first.clone()));
+        let mut chain = Some(first.clone());
+        assert_eq!(NodeCodec.decode_step(&delta, &mut chain), Ok(second.clone()));
+        assert_eq!(chain, Some(second));
 
-    #[test]
-    fn batch_records_round_trip_and_park_in_first_index_order() {
-        let batch = mixed_batch(5);
-        let shapes: Vec<_> = batch.iter().map(|r| r.out.as_ref().unwrap()).collect();
-        assert_eq!(shapes[0].solo_failure, Some(0));
-        assert!(shapes[1].edges.is_empty() && shapes[1].has_active);
-        assert!(shapes[2].edges.len() > 1 && shapes[3].edges.len() > 1);
-        let mut bytes = Vec::new();
-        ResultCodec.encode(&batch, None, &mut bytes);
-        assert_eq!(ResultCodec.decode(&bytes, None), batch);
-
-        // One error result pins the whole record in memory.
-        let mut failing = mixed_batch(0);
-        assert!(ResultCodec.spillable(&failing));
-        failing[2].out = Err(SimError::SteppedDecided { pid: 1 });
-        assert!(!ResultCodec.spillable(&failing));
-
-        // At a zero budget every record parks, and comes back by first index.
-        let mem = SpillContext::new(Some(0));
-        let mut buffer = ReorderBuffer::new(ResultCodec, mem.clone());
-        for first in [40, 0, 20] {
-            buffer.insert(first, mixed_batch(first)).unwrap();
+        let is_corrupt = |got: Result<Node, SpillError>| matches!(got, Err(SpillError::Corrupt { .. }));
+        // Every truncation — mid-index, mid-digest, before the flags, mid-state.
+        for (record, base) in [(&flat, None), (&delta, Some(&first))] {
+            for len in 0..record.len() {
+                assert!(is_corrupt(NodeCodec.decode(&record[..len], base)), "{len} of {} bytes", record.len());
+                let mut chain = base.cloned();
+                assert!(is_corrupt(NodeCodec.decode_step(&record[..len], &mut chain)), "step, {len} bytes");
+            }
         }
-        assert!(mem.tracker().bytes_spilled() > 0, "zero budget must park batches");
-        for first in [0, 20, 40] {
-            assert_eq!(buffer.remove(first).unwrap(), Some(mixed_batch(first)));
+        // The base tag sits after the 1-byte index, the digest and the flag.
+        for tag in 2..=u8::MAX {
+            let mut bad = flat.clone();
+            bad[18] = tag;
+            assert!(is_corrupt(NodeCodec.decode(&bad, None)), "tag {tag}");
+            assert!(is_corrupt(NodeCodec.decode_step(&bad, &mut Some(first.clone()))), "step, tag {tag}");
         }
-        assert_eq!(mem.tracker().resident_bytes(), 0);
+        // A delta record needs a base to patch.
+        assert!(is_corrupt(NodeCodec.decode(&delta, None)));
+        assert!(is_corrupt(NodeCodec.decode_step(&delta, &mut None)));
     }
 
     #[test]
@@ -1464,7 +1207,7 @@ mod tests {
             );
         }
         // ...so a row that hands off (after about 2,210 admissions) is
-        // needed to exercise the work-stealing committer's over-cap shutdown
+        // needed to exercise the pooled committer's over-cap shutdown
         // (early return while workers still preview) against the reference.
         for cap in [2_300, 4_096] {
             agree(
@@ -1500,6 +1243,18 @@ mod tests {
             let before = POOL_STARTS.with(std::cell::Cell::get);
             explore_packed_par(&MaxRegConsensus::new(n), &inputs, limits, false, 8, None, None).unwrap();
             assert_eq!(POOL_STARTS.with(std::cell::Cell::get) - before, pools, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn the_pool_never_holds_more_than_its_window() {
+        let limits = ExploreLimits { depth: 14, ..ExploreLimits::default() };
+        for workers in [2, 8] {
+            WINDOW_PEAK.with(|peak| peak.set(0));
+            explore_packed_par(&MaxRegConsensus::new(4), &[0, 1, 2, 3], limits, false, workers, None, None).unwrap();
+            let peak = WINDOW_PEAK.with(std::cell::Cell::get);
+            let window = WINDOW_BATCHES_PER_WORKER * workers * MAX_BATCH;
+            assert!(peak > 0 && peak <= window, "{workers} workers: {peak} dealt nodes, window {window}");
         }
     }
 }

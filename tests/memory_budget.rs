@@ -230,3 +230,34 @@ fn unbounded_runs_charge_the_seen_set_at_its_real_size() {
         assert!(stats.peak_resident_bytes >= stats.seen_resident_bytes, "{stats:?}");
     }
 }
+
+#[test]
+fn pooled_runs_spill_no_more_than_one_worker() {
+    // `tas-reset` n=4 to depth 14 goes wide, and at 1 MB it spills its
+    // admission queue and seen set. A pool holds only a bounded window of
+    // dealt nodes beyond that queue, so the queue stays the one frontier
+    // store that spills and more workers add no spill traffic of their own.
+    // The row's states are large (about 4.4 KB resident each), so the
+    // 8-worker window is also the heaviest the slack has to cover.
+    let budget = 1 << 20;
+    let limits = ExploreLimits {
+        depth: 14,
+        memory_budget: Some(budget),
+        ..ExploreLimits::default()
+    };
+    let protocol = tas_reset_consensus(4);
+    let inputs = [0, 1, 2, 3];
+    let (outcome, stats) = explore_at(&protocol, &inputs, limits, 1);
+    assert!(stats.bytes_spilled > 0, "the budget must force spilling");
+    for workers in [2, 8] {
+        let (pooled_outcome, pooled) = explore_at(&protocol, &inputs, limits, workers);
+        assert_eq!((&pooled_outcome, &pooled), (&outcome, &stats), "{workers} workers");
+        assert_within_cap("tas-reset", &pooled, budget, workers);
+        assert!(
+            pooled.bytes_spilled * 4 <= stats.bytes_spilled * 5,
+            "{workers} workers spilled {} bytes, 1 worker {}",
+            pooled.bytes_spilled,
+            stats.bytes_spilled
+        );
+    }
+}

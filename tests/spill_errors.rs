@@ -66,13 +66,14 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
         .expect_err("parallel run must fail to spill");
     assert_spill_error(err, "parallel packed engine");
 
-    // -- work-stealing pool -------------------------------------------------
+    // -- worker pool ---------------------------------------------------------
     // `MaxRegConsensus::new(4)` to depth 10 starts its pool after about
     // 2,210 admissions. At 768 KiB the inline prefix never spills (a run
     // capped short of the handoff comes back clean) but the wide frontier
-    // does, so the failing arena is hit with the pool live: usually by a
-    // worker parking a result batch, else by the committer. Either way
-    // every thread shuts down and the caller gets the one typed error.
+    // does, so the failing arena is hit with the pool live. Workers never
+    // touch the arena: the failure always surfaces on the committer
+    // thread, as it pushes onto the admission queue, and the pool's stop
+    // guard releases the workers while the caller gets the one typed error.
     let pool_limits = ExploreLimits {
         depth: 10,
         memory_budget: Some(768 << 10),
@@ -88,7 +89,7 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
             .limits(pool_limits)
             .explore_stats(&maxreg, &[0, 1, 2, 3])
             .expect_err("pool run must fail to spill");
-        assert_spill_error(err, &format!("work-stealing pool at {workers} workers"));
+        assert_spill_error(err, &format!("worker pool at {workers} workers"));
     }
 
     // -- in-process shards ----------------------------------------------------

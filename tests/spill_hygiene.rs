@@ -107,7 +107,7 @@ fn spill_arenas_are_deleted_on_exit_and_on_panic() {
         "files survived a normal sequential exit"
     );
 
-    // -- normal exit, work-stealing pool ----------------------------------
+    // -- normal exit, worker pool ------------------------------------------
     let (outcome, stats) = Explorer::new()
         .workers(4)
         .limits(ExploreLimits {
@@ -143,9 +143,8 @@ fn spill_arenas_are_deleted_on_exit_and_on_panic() {
 
     // -- panic inside a pool worker (StopGuard path) -----------------------
     // 3^7 = 2187 distinct configurations precede the first fuse-8 node, so
-    // the parallel entry's 1024-config sequential probe overflows cleanly
-    // and the real pool is running — with spilled deques and reorder buffer
-    // — when a worker detonates. The StopGuard wakes the committer, whose
+    // the live frontier has passed 1,024 nodes and the real pool is running
+    // — with a spilled admission queue — when a worker detonates. The StopGuard wakes the committer, whose
     // "worker terminated abnormally" assert unwinds through every store.
     let result = catch_unwind(AssertUnwindSafe(|| {
         Explorer::new()
