@@ -36,7 +36,8 @@
 //! spawns its workers and reserves room in the seen set for the whole run;
 //! a narrower run spawns no thread at all. The queue stays where it is: the
 //! committer keeps admitting into it and tops the pool up from its head
-//! whenever fewer than a fixed window of nodes are dealt but not yet taken.
+//! whenever less than a fixed window of nodes, capped in count and in
+//! bytes, is dealt but not yet taken.
 //!
 //! # Determinism argument
 //!
@@ -97,7 +98,8 @@ const _: () = assert!(NO_PARENT == NO_LINK);
 /// Tolerated overrun above [`ExploreLimits::memory_budget`] before the
 /// engine gives up with [`SimError::Budget`]: covers the evictable stores'
 /// bounded slack (in-flight double-buffered spill writes, one streamed-back
-/// run, merge buffers) and a pool's window of dealt nodes — the same envelope the budget-stress suite asserts
+/// run, merge buffers) and a pool's window of dealt nodes (half of it, see
+/// [`WINDOW_BYTES`]) — the same envelope the budget-stress suite asserts
 /// `peak_resident_bytes` stays within. Append-only intern tables that push
 /// residency past it cannot be evicted, so continuing would silently break
 /// the cap.
@@ -491,20 +493,21 @@ impl Drop for StopGuard<'_> {
     }
 }
 
-/// Dealt-but-untaken nodes a pool may hold, in full batches per worker.
-/// One batch each keeps every worker busy while the committer drains the
-/// oldest record, and it bounds what the pool holds beyond the admission
-/// queue: at 8 workers 512 nodes, 2.3 MB of `tas-reset` n=4's 4.4 KB
-/// states, inside `BUDGET_OVERRUN_SLACK`. Larger windows measured no faster
-/// on `deep_explore`.
-const WINDOW_BATCHES_PER_WORKER: usize = 1;
+/// Dealt-but-untaken bytes a pool may hold, beyond the node that crosses
+/// the mark: half of `BUDGET_OVERRUN_SLACK`, whatever the worker count, so
+/// the window never spills yet stays inside the slack beside the stores' own
+/// bounded overrun. Its node count is capped separately at one full batch
+/// per worker (see [`ParSource::window`]); the byte cap binds only on large
+/// states, e.g. from about 7 workers on `tas-reset` n=4's 4.4 KB states.
+const WINDOW_BYTES: usize = BUDGET_OVERRUN_SLACK / 2;
 
 #[cfg(test)]
 thread_local! {
     /// Pools started on this thread: a test sees narrow runs never spawn.
     static POOL_STARTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Most nodes a pool driven from this thread held dealt but untaken.
-    static WINDOW_PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Most nodes, and most bytes, a pool driven from this thread held dealt
+    /// but untaken.
+    static WINDOW_PEAK: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// A parallel run's source: the inline [`SeqSource`] until the frontier is
@@ -519,16 +522,20 @@ struct ParSource<'s, 'e, P: Process> {
     /// The admission queue, and the committer's cache for helping.
     inline: SeqSource<'e, P>,
     live: bool,
-    /// Nodes dealt to the pool but not yet taken.
+    /// Nodes dealt to the pool but not yet taken, and their cost.
     in_flight: usize,
+    in_flight_bytes: usize,
     /// The rest of the result record being committed, drained without
     /// touching the shared map again.
     drained: std::vec::IntoIter<NodeResult>,
 }
 
 impl<P: Process> ParSource<'_, '_, P> {
+    /// The window's node cap: one full batch per worker keeps every worker
+    /// busy while the committer drains the oldest record. Two and four
+    /// batches per worker measured no faster on `deep_explore`.
     fn window(&self) -> usize {
-        WINDOW_BATCHES_PER_WORKER * self.workers * MAX_BATCH
+        self.workers * MAX_BATCH
     }
 
     /// Live batch size: a fraction of the outstanding work per worker, so
@@ -542,24 +549,31 @@ impl<P: Process> ParSource<'_, '_, P> {
 
     /// Tops the pool up from the head of the admission queue: a full batch
     /// whenever the window has room for one, and a short one only when the
-    /// pool holds nothing (the committer's next node is then at the head).
+    /// pool holds nothing (the committer's next node is then at the head) or
+    /// when the batch reaches the window's byte cap.
     fn deal(&mut self) -> Result<(), SimError> {
         loop {
             let target = self.batch_target();
             let size = target.min(self.inline.queue.len());
-            let fits = self.in_flight == 0 || (size == target && self.in_flight + size <= self.window());
+            let fits = self.in_flight == 0
+                || (size == target && self.in_flight + size <= self.window() && self.in_flight_bytes < WINDOW_BYTES);
             if size == 0 || !fits {
                 return Ok(());
             }
             let mut batch = Vec::with_capacity(size);
-            for _ in 0..size {
+            while batch.len() < size && self.in_flight_bytes < WINDOW_BYTES {
                 let node = self.inline.queue.pop()?.expect("queue holds `size` nodes");
-                self.mem.tracker().add_resident(NodeCodec.cost(&node));
+                let cost = NodeCodec.cost(&node);
+                self.mem.tracker().add_resident(cost);
+                self.in_flight_bytes += cost;
                 batch.push(node);
             }
-            self.in_flight += size;
+            self.in_flight += batch.len();
             #[cfg(test)]
-            WINDOW_PEAK.with(|peak| peak.set(peak.get().max(self.in_flight)));
+            WINDOW_PEAK.with(|peak| {
+                let (nodes, bytes) = peak.get();
+                peak.set((nodes.max(self.in_flight), bytes.max(self.in_flight_bytes)));
+            });
             self.pool.work.lock().unwrap().push_back(batch);
             self.pool.work_ready.notify_one();
         }
@@ -626,8 +640,10 @@ impl<P: Process + Send + Sync> ResultSource<P> for ParSource<'_, '_, P> {
             }
         };
         debug_assert_eq!(result.node.index, index, "batches drain in admission order");
+        let cost = NodeCodec.cost(&result.node);
         self.in_flight -= 1;
-        self.mem.tracker().sub_resident(NodeCodec.cost(&result.node));
+        self.in_flight_bytes -= cost;
+        self.mem.tracker().sub_resident(cost);
         Ok(result)
     }
 
@@ -1092,6 +1108,7 @@ where
             inline: SeqSource::new(&ctx, cfg, &mem),
             live: false,
             in_flight: 0,
+            in_flight_bytes: 0,
             drained: Vec::new().into_iter(),
         };
         // The guard (not explicit code) stops the pool, so the workers are
@@ -1246,15 +1263,32 @@ mod tests {
         }
     }
 
+    /// The pool's (node, byte) high-water mark on one run.
+    fn window_peak<P>(protocol: &P, depth: usize, workers: usize) -> (usize, usize)
+    where
+        P: Protocol,
+        P::Proc: Send + Sync,
+    {
+        let limits = ExploreLimits { depth, ..ExploreLimits::default() };
+        let inputs: Vec<u64> = (0..protocol.n() as u64).collect();
+        WINDOW_PEAK.with(|peak| peak.set((0, 0)));
+        explore_packed_par(protocol, &inputs, limits, false, workers, None, None).unwrap();
+        WINDOW_PEAK.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn the_pool_never_holds_more_than_its_window() {
-        let limits = ExploreLimits { depth: 14, ..ExploreLimits::default() };
+        // `MaxRegConsensus::new(4)`'s small states fill the node cap.
         for workers in [2, 8] {
-            WINDOW_PEAK.with(|peak| peak.set(0));
-            explore_packed_par(&MaxRegConsensus::new(4), &[0, 1, 2, 3], limits, false, workers, None, None).unwrap();
-            let peak = WINDOW_PEAK.with(std::cell::Cell::get);
-            let window = WINDOW_BATCHES_PER_WORKER * workers * MAX_BATCH;
-            assert!(peak > 0 && peak <= window, "{workers} workers: {peak} dealt nodes, window {window}");
+            let (nodes, _) = window_peak(&MaxRegConsensus::new(4), 14, workers);
+            let window = workers * MAX_BATCH;
+            assert!(nodes > 0 && nodes <= window, "{workers} workers: {nodes} dealt nodes, window {window}");
         }
+        // `tas-reset` n=4's 4.4 KB states reach the byte cap at 32 workers,
+        // whose node cap (2,048) would hold 9 MB; the cap is overshot by at
+        // most the one node that crosses it.
+        let (nodes, bytes) = window_peak(&cbh_core::bitwise::tas_reset_consensus(4), 12, 32);
+        assert!(nodes < 32 * MAX_BATCH, "{nodes} dealt nodes");
+        assert!((WINDOW_BYTES..WINDOW_BYTES + 8192).contains(&bytes), "{bytes} dealt bytes");
     }
 }

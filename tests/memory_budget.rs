@@ -237,8 +237,9 @@ fn pooled_runs_spill_no_more_than_one_worker() {
     // admission queue and seen set. A pool holds only a bounded window of
     // dealt nodes beyond that queue, so the queue stays the one frontier
     // store that spills and more workers add no spill traffic of their own.
-    // The row's states are large (about 4.4 KB resident each), so the
-    // 8-worker window is also the heaviest the slack has to cover.
+    // The row's states are large (about 4.4 KB resident each): at 32
+    // workers one batch per worker would be 9 MB, so only the window's byte
+    // cap keeps the run inside the budget's overrun slack.
     let budget = 1 << 20;
     let limits = ExploreLimits {
         depth: 14,
@@ -249,7 +250,7 @@ fn pooled_runs_spill_no_more_than_one_worker() {
     let inputs = [0, 1, 2, 3];
     let (outcome, stats) = explore_at(&protocol, &inputs, limits, 1);
     assert!(stats.bytes_spilled > 0, "the budget must force spilling");
-    for workers in [2, 8] {
+    for workers in [2, 8, 32] {
         let (pooled_outcome, pooled) = explore_at(&protocol, &inputs, limits, workers);
         assert_eq!((&pooled_outcome, &pooled), (&outcome, &stats), "{workers} workers");
         assert_within_cap("tas-reset", &pooled, budget, workers);
