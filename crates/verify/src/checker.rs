@@ -260,6 +260,13 @@ pub(crate) const NO_LINK: usize = usize::MAX;
 /// One admitted configuration's provenance: (parent link index, pid stepped).
 pub(crate) type Link = (usize, usize);
 
+/// The link of admitted node `index`: a link list holds one entry per
+/// non-root admission, in admission order, so node `i > 0` owns link
+/// `i - 1`.
+pub(crate) fn link_of(index: usize) -> usize {
+    index.checked_sub(1).unwrap_or(NO_LINK)
+}
+
 /// Walks the schedule back through the parent links.
 pub(crate) fn schedule_of(links: &[Link], mut link: usize) -> Vec<usize> {
     let mut out = Vec::new();

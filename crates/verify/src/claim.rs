@@ -52,7 +52,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::fpset::MAX_RESERVED_SLOTS;
+/// Most slots a table reserves up front (2²³ slots, 128 MiB of
+/// fingerprints), so a huge `expected` cannot demand an absurd allocation.
+const MAX_RESERVED_SLOTS: usize = 1 << 23;
 
 /// Longest linear-probe run before an insertion falls back to the overflow
 /// map. Bounds worst-case work per claim on a degenerately full table.

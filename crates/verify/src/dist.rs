@@ -105,8 +105,8 @@
 //! from `ROUND` to `VERDICTS` is charged to its tracker meanwhile.
 
 use crate::checker::{
-    decision_defect, decision_violation, schedule_of, Defect, ExploreLimits, ExploreOutcome,
-    ExploreStats, Link, NO_LINK,
+    decision_defect, decision_violation, link_of, schedule_of, Defect, ExploreLimits,
+    ExploreOutcome, ExploreStats, Link, NO_LINK,
 };
 use crate::fpset::SeenBackend;
 use crate::frontier::{FrontierStore, SpillCodec, SpillContext, SpillError};
@@ -1238,17 +1238,6 @@ fn drain_stats<T: Transport>(hub: &mut Hub<T>) -> AggStats {
     agg
 }
 
-/// The parent-link index of global node `idx`: the coordinator's link
-/// list has one entry per non-root admission, in admission order, so node
-/// `i > 0` owns link `i - 1`.
-fn link_of(idx: u64) -> usize {
-    if idx == 0 {
-        NO_LINK
-    } else {
-        idx as usize - 1
-    }
-}
-
 /// The coordinator's round loop: the distributed counterpart of the
 /// packed engine's committer. Every stateful decision — admission count,
 /// cap, links, violation selection, completeness, layer bookkeeping —
@@ -1318,7 +1307,7 @@ fn coordinate_loop<T: Transport>(
                 SweepItem::Solo { idx, pid } => {
                     finish!(ExploreOutcome::ObstructionFailure {
                         pid: pid as usize,
-                        schedule: schedule_of(&links, link_of(idx)),
+                        schedule: schedule_of(&links, link_of(idx as usize)),
                     });
                 }
                 SweepItem::Failed { shard, idx, msg } => {
@@ -1346,7 +1335,7 @@ fn coordinate_loop<T: Transport>(
                         });
                     }
                     let child_link = links.len();
-                    links.push((link_of(parent_idx), pid as usize));
+                    links.push((link_of(parent_idx as usize), pid as usize));
                     if let Some(defect) = defect {
                         finish!(defect.into_outcome(schedule_of(&links, child_link)));
                     }

@@ -66,10 +66,6 @@ const EVICT_MAX: usize = 1 << 16;
 /// territory cluster heavily (BFS diamonds), so a handful of blocks absorbs
 /// most repeat reads.
 const CACHE_BLOCKS: usize = 8;
-/// Most slots the exact seen set reserves up front (2²³ slots, 128 MiB of
-/// fingerprints), so a huge `max_configs` cannot demand an absurd
-/// allocation. Past a reserve the set still grows on demand.
-pub(crate) const MAX_RESERVED_SLOTS: usize = 1 << 23;
 
 /// Decodes one run (or run block) back from its wire bytes, validating the
 /// format: a whole number of 16-byte little-endian fingerprints in strictly
@@ -893,17 +889,6 @@ impl SeenBackend {
         if now > *charged {
             ctx.tracker().add_resident(now - *charged);
             *charged = now;
-        }
-    }
-
-    /// Makes room for `expected` admissions in one allocation, capped at
-    /// [`MAX_RESERVED_SLOTS`], so a big run never rehashes on its way up.
-    /// A no-op for the tiered backend, which sizes itself from its budget.
-    pub(crate) fn reserve(&mut self, expected: usize) {
-        if let SeenBackend::Exact { set, ctx, charged } = self {
-            let room = expected.min(MAX_RESERVED_SLOTS / 8 * 7);
-            set.reserve(room.saturating_sub(set.len()));
-            Self::recharge(set, ctx, charged);
         }
     }
 

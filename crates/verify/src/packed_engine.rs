@@ -19,8 +19,10 @@
 //!   verbatim, the sequential algorithm of the clone-based reference BFS:
 //!   authoritative admission into the run's one seen set (`crate::fpset`'s
 //!   `SeenBackend`), `max_configs` accounting, violation selection,
-//!   parent-link construction, layer bookkeeping. It
-//!   materialises every admitted child itself, with one memoised
+//!   parent-link construction, layer bookkeeping. Provenance is positional:
+//!   node `i`'s link is `i − 1`, so beyond the links and the seen set the
+//!   committer keeps only scalars and the horizon layer's `has_active`
+//!   bits. It materialises every admitted child itself, with one memoised
 //!   `branch_step_cached` from the parent. Every order-sensitive decision is
 //!   made here, single-threaded, on a totally ordered stream. While a record
 //!   it needs is still being computed, the committer *helps*: it pops and
@@ -33,11 +35,10 @@
 //! A pool only pays once a frontier is wide, so every run starts on the
 //! calling thread with the sequential engine's admission queue. The first
 //! time the live frontier holds `MIN_PARALLEL_CONFIGS` nodes, the run
-//! spawns its workers and reserves room in the seen set for the whole run;
-//! a narrower run spawns no thread at all. The queue stays where it is: the
-//! committer keeps admitting into it and tops the pool up from its head
-//! whenever less than a fixed window of nodes, capped in count and in
-//! bytes, is dealt but not yet taken.
+//! spawns its workers; a narrower run spawns no thread at all. The queue
+//! stays where it is: the committer keeps admitting into it and tops the
+//! pool up from its head whenever less than a fixed window of nodes, capped
+//! in count and in bytes, is dealt but not yet taken.
 //!
 //! # Determinism argument
 //!
@@ -76,7 +77,7 @@
 //! [`ExploreStats::peak_resident_bytes`] (telemetry, excluded from stats
 //! equality).
 
-use crate::checker::{schedule_of, ExploreLimits, ExploreOutcome, ExploreStats, Link, NO_LINK};
+use crate::checker::{link_of, schedule_of, ExploreLimits, ExploreOutcome, ExploreStats, Link, NO_LINK};
 use crate::fpset::SeenBackend;
 use crate::frontier::{FrontierStore, SpillCodec, SpillContext, SpillError};
 use crate::snapshot::{Snapshot, SnapshotError, NO_PARENT};
@@ -377,11 +378,6 @@ fn expand_batch<P: Process>(
 trait ResultSource<P: Process> {
     fn dispatch(&mut self, node: Node) -> Result<(), SimError>;
     fn take(&mut self, index: usize) -> Result<NodeResult, SimError>;
-    /// Called once, the first time the live frontier is wide; `true` if
-    /// that started a pool.
-    fn widen(&mut self) -> bool {
-        false
-    }
 }
 
 /// In-process source: tasks run inline, in dispatch order, on the calling
@@ -511,9 +507,9 @@ thread_local! {
 }
 
 /// A parallel run's source: the inline [`SeqSource`] until the frontier is
-/// wide; then [`ResultSource::widen`] spawns the workers in the run's thread
-/// scope, and the committer deals them batches from the head of the same
-/// admission queue, never more than the window at a time.
+/// wide; then `take` spawns the workers in the run's thread scope, and the
+/// committer deals them batches from the head of the same admission queue,
+/// never more than the window at a time.
 struct ParSource<'s, 'e, P: Process> {
     scope: &'s Scope<'s, 'e>,
     pool: &'e Pool,
@@ -627,7 +623,18 @@ impl<P: Process + Send + Sync> ResultSource<P> for ParSource<'_, '_, P> {
 
     fn take(&mut self, index: usize) -> Result<NodeResult, SimError> {
         if !self.live {
-            return self.inline.take(index);
+            // The queue holds exactly the live frontier: every dispatched,
+            // untaken node. The first time it is wide, the workers start.
+            if self.inline.queue.len() < MIN_PARALLEL_CONFIGS {
+                return self.inline.take(index);
+            }
+            #[cfg(test)]
+            POOL_STARTS.with(|starts| starts.set(starts.get() + 1));
+            let (pool, ctx, cfg) = (self.pool, self.inline.ctx, self.inline.cfg);
+            for _ in 0..self.workers {
+                self.scope.spawn(move || pool.worker_loop(ctx, cfg));
+            }
+            self.live = true;
         }
         self.deal()?;
         // Takes follow admission order and batches are dealt in that order,
@@ -645,17 +652,6 @@ impl<P: Process + Send + Sync> ResultSource<P> for ParSource<'_, '_, P> {
         self.in_flight_bytes -= cost;
         self.mem.tracker().sub_resident(cost);
         Ok(result)
-    }
-
-    fn widen(&mut self) -> bool {
-        #[cfg(test)]
-        POOL_STARTS.with(|starts| starts.set(starts.get() + 1));
-        let (pool, ctx, cfg) = (self.pool, self.inline.ctx, self.inline.cfg);
-        for _ in 0..self.workers {
-            self.scope.spawn(move || pool.worker_loop(ctx, cfg));
-        }
-        self.live = true;
-        true
     }
 }
 
@@ -710,19 +706,18 @@ where
     // The committer's own memoised read-through intern cache (child
     // materialisation, violation checks, the root digest).
     let mut cache: PackedCache<P> = PackedCache::new();
-    // Admitted-configuration count: tracks `admit` admissions one-for-one.
-    let mut configs = 0usize;
+    // Provenance is positional: node `i` owns link `link_of(i)`, so the
+    // admitted count is `links.len() + 1` and needs no list of its own.
     let mut links: Vec<Link> = Vec::new();
-    // (parent link, depth) per admitted node, in admission order.
-    let mut meta: Vec<(usize, usize)> = Vec::new();
     let mut complete = true;
     let mut frontier_peak = 1usize;
     let mut depth_reached = 0usize;
-    // Admitted / committed node counts per breadth-first layer. A layer's
-    // admissions close when the previous layer is fully committed; indices
-    // are therefore grouped by layer, in layer order.
-    let mut layer_total: Vec<usize> = vec![1];
-    let mut layer_done: Vec<usize> = vec![0];
+    // Layers admit index-contiguously, so the committer needs only the
+    // depth `d` of the node at `next_commit` and the end of its layer: when
+    // `next_commit` reaches `layer_end`, layer `d + 1` is exactly the
+    // admitted suffix `layer_end..links.len() + 1`.
+    let mut d = 0usize;
+    let mut layer_end = 1usize;
     // Intern-table bytes already charged to the tracker. The tables are
     // append-only (spilled states embed intern ids, so entries can never be
     // evicted); the committer polls their growth into the shared tracker so
@@ -736,8 +731,11 @@ where
     let mut ckpt_ms = 0u64;
     macro_rules! stats {
         () => {
+            stats!(links.len() + 1)
+        };
+        ($configs:expr) => {
             ExploreStats {
-                configs,
+                configs: $configs,
                 frontier_peak,
                 depth_reached,
                 bytes_spilled: mem.tracker().bytes_spilled(),
@@ -755,9 +753,19 @@ where
     // Horizon nodes with no solo checks to run have a fixed, edge-free
     // expansion; computing their `has_active` bit inline at admission (flag
     // reads only, no table locks) spares the biggest layer of a
-    // depth-limited run a pool round-trip per node.
-    let mut inline_active: HashMap<usize, bool> = HashMap::new();
+    // depth-limited run a pool round-trip per node. They are exactly the
+    // horizon layer, so they commit in admission order: a FIFO suffices.
+    // `queue` sends every admitted node one way or the other.
+    let mut inline_active: VecDeque<bool> = VecDeque::new();
     let solo = limits.solo_check_budget.is_some();
+    let queue = |source: &mut S, inline_active: &mut VecDeque<bool>, node: Node| {
+        if node.expand || solo {
+            source.dispatch(node)
+        } else {
+            inline_active.push_back(ctx.has_active(&node.state));
+            Ok(())
+        }
+    };
 
     let n = root.n();
     let root_fp = ctx.digest_cached(&mut cache, &root, symmetric);
@@ -781,35 +789,35 @@ where
             let fresh = admit.admit(fp)?;
             debug_assert!(fresh, "snapshot seen set carries duplicates");
         }
-        configs = snap.seen.len();
         links.clone_from(&snap.links);
         complete = snap.complete;
         frontier_peak = snap.frontier_peak;
         depth_reached = snap.depth_reached;
         next_commit = snap.next_commit;
-        // Per-node (parent link, depth) and the layer counters are pure
-        // functions of the link list: node `j + 1`'s link is `j`, its depth
-        // is one past its parent's, and layers admit index-contiguously.
-        meta.push((NO_LINK, 0));
+        // Link parents never decrease (the snapshot decoder refuses links
+        // that do), so a node starts a new layer exactly when its parent
+        // sits in the deepest layer so far. One pass finds that layer; the
+        // node at `next_commit` is in it or in the layer before, because a
+        // child exists only once its parent has committed.
+        let (mut deepest, mut deepest_start) = (0usize, 0usize);
         for (j, &(parent, _)) in links.iter().enumerate() {
             let parent_index = if parent == NO_LINK { 0 } else { parent + 1 };
-            let depth = meta[parent_index].1 + 1;
-            meta.push((j, depth));
-            if layer_total.len() <= depth {
-                layer_total.push(0);
-                layer_done.push(0);
+            if parent_index >= deepest_start {
+                deepest += 1;
+                deepest_start = j + 1;
             }
-            layer_total[depth] += 1;
         }
-        for &(_, depth) in &meta[..next_commit] {
-            layer_done[depth] += 1;
-        }
+        (d, layer_end) = if next_commit >= deepest_start {
+            (deepest, links.len() + 1)
+        } else {
+            (deepest - 1, deepest_start)
+        };
         // Snapshots land at admission boundaries, so the pending frontier is
         // exactly the uncommitted index suffix; re-dispatch it in admission
         // order (the order `take` will ask for it back in).
-        for (index, &(link, d)) in meta.iter().enumerate().skip(next_commit) {
+        for index in next_commit..=links.len() {
             let mut state = root.clone();
-            for pid in schedule_of(&links, link) {
+            for pid in schedule_of(&links, link_of(index)) {
                 ctx.step_cached(&mut cache, &mut state, pid).map_err(|source| {
                     SimError::Model {
                         pid,
@@ -819,45 +827,21 @@ where
                 })?;
             }
             let fp = ctx.digest_cached(&mut cache, &state, symmetric);
-            let expand = d < limits.depth;
-            if expand || solo {
-                source.dispatch(Node { index, state, fp, expand })?;
-            } else {
-                inline_active.insert(index, ctx.has_active(&state));
-            }
+            let expand = d + usize::from(index >= layer_end) < limits.depth;
+            queue(source, &mut inline_active, Node { index, state, fp, expand })?;
         }
     } else {
         let _root_new = admit.admit(root_fp)?;
         debug_assert!(_root_new, "fresh run: the root cannot be pre-admitted");
-        configs += 1;
         if let Some(violation) = packed_violation(ctx, &mut cache, &root, inputs, NO_LINK, &links) {
             return Ok((violation, stats!()));
         }
-        meta.push((NO_LINK, 0));
-        if limits.depth > 0 || solo {
-            source.dispatch(Node {
-                index: 0,
-                state: root,
-                fp: root_fp,
-                expand: limits.depth > 0,
-            })?;
-        } else {
-            inline_active.insert(0, ctx.has_active(&root));
-        }
+        let expand = limits.depth > 0;
+        queue(source, &mut inline_active, Node { index: 0, state: root, fp: root_fp, expand })?;
     }
 
-    let mut next_ckpt_at = ckpt.map(|ck| configs as u64 + ck.every);
-    let mut wide = false;
-    while next_commit < meta.len() {
-        // Admitted, uncommitted nodes outside `inline_active` are the live
-        // frontier. The first time it is wide, the source may start its
-        // pool, and then the seen set reserves room for the whole run.
-        if !wide && meta.len() - next_commit - inline_active.len() >= MIN_PARALLEL_CONFIGS {
-            wide = true;
-            if source.widen() {
-                admit.reserve(limits.max_configs);
-            }
-        }
+    let mut next_ckpt_at = ckpt.map(|ck| links.len() as u64 + 1 + ck.every);
+    while next_commit <= links.len() {
         // Fold intern-table growth (the committer's own and every worker's)
         // into the shared resident total before the admissions below consult
         // the budget. The tables only grow, so this is a one-way delta.
@@ -884,14 +868,16 @@ where
         // node at `next_commit` is not yet expanded, so the admitted set,
         // links and counters are exactly the reference order's prefix.
         if let (Some(ck), Some(at)) = (ckpt, next_ckpt_at.as_mut()) {
-            if configs as u64 >= *at {
+            let configs = links.len() as u64 + 1;
+            if configs >= *at {
                 let started = Instant::now();
                 // Queued spill-arena writes drain and fsync first, so the
                 // on-disk arena is never staler than the snapshot beside it.
                 mem.sync()?;
                 let mut seen = admit.collect_fps()?;
                 seen.sort_unstable();
-                debug_assert_eq!(seen.len(), configs, "admissions track configs 1:1");
+                debug_assert_eq!(seen.len() as u64, configs, "admissions track configs 1:1");
+                // The links travel into the snapshot and back, uncopied.
                 let snap = Snapshot {
                     protocol: ck.protocol.clone(),
                     n,
@@ -900,7 +886,7 @@ where
                     max_configs: limits.max_configs,
                     solo_check_budget: limits.solo_check_budget,
                     symmetric,
-                    links: links.clone(),
+                    links: std::mem::take(&mut links),
                     seen,
                     next_commit,
                     frontier_peak,
@@ -908,6 +894,7 @@ where
                     complete,
                 };
                 let written = snap.write(&ck.path).map_err(|e| snapshot_sim_err(&e))?;
+                links = snap.links;
                 if ck.retain {
                     let numbered = PathBuf::from(format!("{}.ck{ckpt_seq}", ck.path.display()));
                     std::fs::copy(&ck.path, &numbered).map_err(|e| SimError::Spill {
@@ -917,26 +904,24 @@ where
                 ckpt_seq += 1;
                 ckpt_bytes += written;
                 ckpt_ms += started.elapsed().as_millis() as u64;
-                *at = configs as u64 + ck.every;
+                *at = configs + ck.every;
             }
         }
         if let Some(cap) = cache_cap {
             cache.evict_if_over(cap);
         }
-        let (parent_link, d) = meta[next_commit];
-        let (expansion, parent) = match inline_active.remove(&next_commit) {
-            Some(has_active) => (
-                Expansion {
-                    solo_failure: None,
-                    has_active,
-                    edges: Vec::new(),
-                },
-                None,
-            ),
-            None => {
-                let result = source.take(next_commit)?;
-                (result.out?, Some(result.node))
-            }
+        let parent_link = link_of(next_commit);
+        let (expansion, parent) = if d >= limits.depth && !solo {
+            let has_active = inline_active.pop_front().expect("horizon nodes wait inline");
+            let expansion = Expansion {
+                solo_failure: None,
+                has_active,
+                edges: Vec::new(),
+            };
+            (expansion, None)
+        } else {
+            let result = source.take(next_commit)?;
+            (result.out?, Some(result.node))
         };
         if let Some(pid) = expansion.solo_failure {
             return Ok((
@@ -955,14 +940,14 @@ where
             if !admit.admit(fp)? {
                 continue;
             }
-            configs += 1;
+            let configs = links.len() + 2;
             if configs > limits.max_configs {
                 // Mirror of the reference: the over-cap configuration stays
                 // counted, nothing else of the partial layer does.
                 complete = false;
                 return Ok((
                     ExploreOutcome::Clean { configs, complete },
-                    stats!(),
+                    stats!(configs),
                 ));
             }
             // Edges only come from dispatched nodes, so the parent is present.
@@ -982,46 +967,27 @@ where
             {
                 return Ok((violation, stats!()));
             }
-            let child_depth = d + 1;
-            let index = meta.len();
-            meta.push((link, child_depth));
-            if layer_total.len() <= child_depth {
-                layer_total.push(0);
-                layer_done.push(0);
-            }
-            layer_total[child_depth] += 1;
-            let expand = child_depth < limits.depth;
-            if expand || solo {
-                source.dispatch(Node {
-                    index,
-                    state: child_state,
-                    fp,
-                    expand,
-                })?;
-            } else {
-                inline_active.insert(index, ctx.has_active(&child_state));
-            }
+            let (index, expand) = (links.len(), d + 1 < limits.depth);
+            queue(source, &mut inline_active, Node { index, state: child_state, fp, expand })?;
         }
         next_commit += 1;
-        layer_done[d] += 1;
-        // Commits run in index order and layers are index-contiguous, so
-        // this fires exactly when layer `d`'s last node commits.
-        if layer_done[d] == layer_total[d] {
-            // Layer `d` fully expanded...
+        if next_commit == layer_end {
+            // Layer `d` is fully expanded, and layer `d + 1`'s admissions
+            // are closed — it is exactly the breadth-first frontier the
+            // reference would hold live next.
             if d < limits.depth {
                 depth_reached = d + 1;
             }
-            // ...and layer `d+1`'s admissions are closed — it is exactly the
-            // breadth-first frontier the reference would hold live next.
-            if let Some(&next_layer) = layer_total.get(d + 1) {
-                if next_layer > 0 {
-                    frontier_peak = frontier_peak.max(next_layer);
-                }
-            }
+            layer_end = links.len() + 1;
+            frontier_peak = frontier_peak.max(layer_end - next_commit);
+            d += 1;
         }
     }
     Ok((
-        ExploreOutcome::Clean { configs, complete },
+        ExploreOutcome::Clean {
+            configs: links.len() + 1,
+            complete,
+        },
         stats!(),
     ))
 }

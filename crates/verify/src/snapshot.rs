@@ -43,7 +43,8 @@
 //! | tag | name     | payload                                              |
 //! |-----|----------|------------------------------------------------------|
 //! | 1   | IDENTITY | protocol name, `n`, inputs, limits, symmetry flag    |
-//! | 2   | LINKS    | per admitted config: (parent link + 1 or 0, pid)     |
+//! | 2   | LINKS    | per admitted config: (parent link + 1 or 0, pid),    |
+//! |     |          | parents nondecreasing (breadth-first order)          |
 //! | 3   | SEEN     | sorted, deduplicated admitted fingerprints (16 B LE) |
 //! | 4   | CURSORS  | commit cursor, frontier peak, depth, complete flag   |
 //!
@@ -388,9 +389,16 @@ impl Snapshot {
             )));
         }
         let mut links = Vec::with_capacity(link_count);
+        // The engine admits breadth-first, so parents never decrease; resume
+        // derives every node's depth from that order.
+        let mut prev_raw = 0;
         for j in 0..link_count {
             let parent_raw = read_varint(&mut sec)?;
             let pid = rd_usize(&mut sec)?;
+            if parent_raw < prev_raw {
+                return Err(malformed(format!("link {j}'s parent precedes link {}'s", j - 1)));
+            }
+            prev_raw = parent_raw;
             let parent = match parent_raw {
                 0 => NO_PARENT,
                 p => {
@@ -720,6 +728,27 @@ mod tests {
         for len in 0..good.len() {
             assert!(Snapshot::from_bytes(&good[..len]).is_err(), "prefix {len}");
         }
+    }
+
+    #[test]
+    fn links_out_of_breadth_first_order_are_malformed() {
+        // Node 3's parent (the root) precedes node 2's (node 1): no
+        // breadth-first run admits that, and resume would mis-layer it.
+        let snap = Snapshot {
+            links: vec![(NO_PARENT, 0), (0, 0), (NO_PARENT, 1)],
+            seen: vec![1, 2, 3, 4],
+            ..sample()
+        };
+        assert!(matches!(
+            Snapshot::from_bytes(&snap.to_bytes()),
+            Err(SnapshotError::Malformed { .. })
+        ));
+        // The same links in breadth-first order decode.
+        let ordered = Snapshot {
+            links: vec![(NO_PARENT, 0), (NO_PARENT, 1), (0, 0)],
+            ..snap
+        };
+        assert_eq!(Snapshot::from_bytes(&ordered.to_bytes()), Ok(ordered));
     }
 
     #[test]

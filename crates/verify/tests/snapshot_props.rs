@@ -22,9 +22,9 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Shapes free-form raw material into a structurally valid snapshot: links
-/// point backwards, pids stay below `n`, the seen set is sorted and
-/// duplicate-free with exactly one entry per configuration, and every
-/// cursor respects its range invariant.
+/// point backwards in breadth-first order, pids stay below `n`, the seen
+/// set is sorted and duplicate-free with exactly one entry per
+/// configuration, and every cursor respects its range invariant.
 #[allow(clippy::too_many_arguments)]
 fn build_snapshot(
     name_seed: u64,
@@ -37,11 +37,15 @@ fn build_snapshot(
     fp_seed: u64,
     cursors: (u64, u64, u64, bool),
 ) -> Snapshot {
+    // Parent node indices (0 = the root) never decrease, as in a
+    // breadth-first run: link `j`'s parent is drawn from `[prev, j]`.
+    let mut prev = 0;
     let links: Vec<(usize, usize)> = links_raw
         .iter()
         .enumerate()
         .map(|(j, &(parent_raw, pid_raw))| {
-            let parent = match parent_raw as usize % (j + 1) {
+            prev += parent_raw as usize % (j + 1 - prev);
+            let parent = match prev {
                 0 => NO_PARENT,
                 k => k - 1,
             };

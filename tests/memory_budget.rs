@@ -215,18 +215,23 @@ fn value_diverse_interning_trips_the_budget_instead_of_overrunning() {
 
 #[test]
 fn unbounded_runs_charge_the_seen_set_at_its_real_size() {
-    // `MaxRegConsensus::new(4)` to depth 10 goes wide, so at 2 workers its
-    // exact seen set reserves room for `max_configs` (100,000) admissions
-    // when the pool starts: at least 131,072 sixteen-byte slots. At 1
-    // worker the set grows with its 5,524 admissions instead.
+    // `MaxRegConsensus::new(4)` to depth 10 admits 5,524 configurations and
+    // goes wide, so at 2 workers a pool starts. The exact seen set grows by
+    // doubling with its admissions either way: both runs charge the same
+    // table, at least 16 bytes per fingerprint and far below room for
+    // `max_configs` (100,000 admissions need 131,072 slots).
     let limits = ExploreLimits {
         depth: 10,
         max_configs: 100_000,
         ..ExploreLimits::default()
     };
-    for (workers, slots) in [(1, 5_524), (2, 131_072)] {
-        let (_, stats) = explore_at(&MaxRegConsensus::new(4), &[0, 1, 2, 3], limits, workers);
-        assert!(stats.seen_resident_bytes >= slots * 16, "{workers} workers: {stats:?}");
+    let (_, inline) = explore_at(&MaxRegConsensus::new(4), &[0, 1, 2, 3], limits, 1);
+    let (_, pooled) = explore_at(&MaxRegConsensus::new(4), &[0, 1, 2, 3], limits, 2);
+    assert_eq!(inline.configs, 5_524, "{inline:?}");
+    assert_eq!(pooled.seen_resident_bytes, inline.seen_resident_bytes, "{pooled:?}");
+    assert!(inline.seen_resident_bytes >= 5_524 * 16, "{inline:?}");
+    assert!(inline.seen_resident_bytes < 131_072 * 16, "{inline:?}");
+    for stats in [&inline, &pooled] {
         assert!(stats.peak_resident_bytes >= stats.seen_resident_bytes, "{stats:?}");
     }
 }

@@ -14,8 +14,9 @@
 
 use space_hierarchy::model::Protocol;
 use space_hierarchy::protocols::bitwise::{tas_reset_consensus, write01_consensus};
+use space_hierarchy::protocols::maxreg::MaxRegConsensus;
 use space_hierarchy::verify::checker::{ExploreLimits, ExploreOutcome, ExploreStats, Explorer};
-use space_hierarchy::verify::snapshot::Snapshot;
+use space_hierarchy::verify::snapshot::{Snapshot, NO_PARENT};
 use std::path::PathBuf;
 
 fn matrix_limits() -> ExploreLimits {
@@ -146,4 +147,66 @@ fn resuming_a_finished_run_is_an_identity_operation() {
         .expect("resumed run explores");
     assert_eq!(second, baseline, "resumed run diverged");
     std::fs::remove_file(&path).expect("checkpoint exists");
+}
+
+/// Depth of admitted node `index`: the length of its parent-link chain.
+fn depth_of(links: &[(usize, usize)], index: usize) -> usize {
+    let mut link = index.checked_sub(1).unwrap_or(NO_PARENT);
+    let mut depth = 0;
+    while link != NO_PARENT {
+        depth += 1;
+        link = links[link].0;
+    }
+    depth
+}
+
+/// A checkpoint whose pending nodes are the horizon layer alone. Without
+/// solo checks, resume rebuilds their inline `has_active` queue; with them,
+/// it dispatches every horizon node (at 2 workers, wide enough to start the
+/// pool). Both must finish bit-identically at 1 and 2 workers.
+#[test]
+fn resuming_inside_the_horizon_layer_is_bit_identical() {
+    let protocol = MaxRegConsensus::new(4);
+    let inputs = [0u64, 1, 2, 3];
+    for solo in [None, Some(20)] {
+        let limits = ExploreLimits {
+            depth: 9,
+            solo_check_budget: solo,
+            ..matrix_limits()
+        };
+        let baseline = Explorer::new()
+            .limits(limits)
+            .explore_stats(&protocol, &inputs)
+            .expect("baseline explores");
+        // The run's last admission comes from the last node before the
+        // horizon, so a cadence that ends on it snapshots just past it.
+        let path = checkpoint_path(&format!("horizon-{}", solo.is_some()));
+        let checkpointed = Explorer::new()
+            .limits(ExploreLimits {
+                checkpoint_every: Some(baseline.1.configs as u64 - 1),
+                ..limits
+            })
+            .checkpoint_to(&path)
+            .retain_checkpoints(true)
+            .explore_stats(&protocol, &inputs)
+            .expect("checkpointed run explores");
+        assert_eq!(checkpointed, baseline, "solo {solo:?}: snapshotting perturbed the run");
+        let numbered = PathBuf::from(format!("{}.ck0", path.display()));
+        let snap = Snapshot::read(&numbered).expect("retained snapshot decodes");
+        assert!(
+            snap.next_commit < snap.configs() && depth_of(&snap.links, snap.next_commit) == limits.depth,
+            "solo {solo:?}: commit cursor {} is not a horizon node",
+            snap.next_commit
+        );
+        for workers in [1usize, 2] {
+            let resumed = Explorer::new()
+                .workers(workers)
+                .limits(limits)
+                .resume_stats(&protocol, &inputs, &snap)
+                .expect("resume explores");
+            assert_eq!(resumed, baseline, "solo {solo:?}: resume at {workers} workers diverged");
+        }
+        std::fs::remove_file(&numbered).expect("cleanup");
+        std::fs::remove_file(&path).expect("final checkpoint exists");
+    }
 }
