@@ -65,7 +65,7 @@ pub use packed::delta::{
     apply_delta, apply_delta_into, decode_flat, encode_delta, encode_flat, DeltaError,
 };
 pub use packed::frame::{
-    crc32, decode_frame, decode_frame_exact, encode_frame, FrameError, FrameReader, FRAME_MAGIC,
+    decode_frame, decode_frame_exact, encode_frame, FrameError, FrameReader, FRAME_MAGIC,
     FRAME_VERSION, MAX_FRAME_PAYLOAD,
 };
 pub use packed::{PackedCache, PackedCtx, PackedState, PackedStepOutcome, PackedUndo};

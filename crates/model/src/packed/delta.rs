@@ -47,6 +47,7 @@
 //! [`super::PackedCtx`] — the codec moves bytes, not semantics, so a decoded
 //! state is only meaningful next to the context that encoded it.
 
+use super::frame::FieldReader;
 use super::PackedState;
 use std::fmt;
 
@@ -147,22 +148,6 @@ pub fn read_varint(bytes: &mut &[u8]) -> Result<u64, DeltaError> {
     }
 }
 
-/// Reads an element count, rejecting anything the remaining input cannot
-/// possibly encode (every element costs at least one byte) — so a corrupt
-/// length field can never drive an allocation past the record's own size.
-fn read_len(bytes: &mut &[u8]) -> Result<usize, DeltaError> {
-    let len = read_varint(bytes)?;
-    if len > bytes.len() as u64 {
-        return Err(DeltaError::LengthOverflow { len });
-    }
-    Ok(len as usize)
-}
-
-/// Reads a non-allocating counter field (`touched`) as `usize`.
-fn read_counter(bytes: &mut &[u8]) -> Result<usize, DeltaError> {
-    usize::try_from(read_varint(bytes)?).map_err(|_| DeltaError::VarintOverflow)
-}
-
 fn write_decided(out: &mut Vec<u8>, decided: Option<u64>) {
     match decided {
         None => out.push(0),
@@ -173,24 +158,13 @@ fn write_decided(out: &mut Vec<u8>, decided: Option<u64>) {
     }
 }
 
-fn read_decided(bytes: &mut &[u8]) -> Result<Option<u64>, DeltaError> {
-    let (&tag, rest) = bytes.split_first().ok_or(DeltaError::Truncated)?;
-    *bytes = rest;
-    match tag {
-        0 => Ok(None),
-        1 => Ok(Some(read_varint(bytes)?)),
-        other => Err(DeltaError::InvalidTag(other)),
-    }
+fn read_decided(r: &mut FieldReader<'_>) -> Result<Option<u64>, DeltaError> {
+    Ok(if r.bool()? { Some(r.varint()?) } else { None })
 }
 
-fn finish<T>(value: T, bytes: &[u8]) -> Result<T, DeltaError> {
-    if bytes.is_empty() {
-        Ok(value)
-    } else {
-        Err(DeltaError::TrailingBytes {
-            remaining: bytes.len(),
-        })
-    }
+/// A process id: a varint that must fit `u32`.
+fn read_id(r: &mut FieldReader<'_>) -> Result<u32, DeltaError> {
+    u32::try_from(r.varint()?).map_err(|_| DeltaError::VarintOverflow)
 }
 
 // ---------------------------------------------------------------------------
@@ -220,35 +194,32 @@ pub fn encode_flat(state: &PackedState, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Any [`DeltaError`]; arbitrary input never panics.
-pub fn decode_flat(mut bytes: &[u8]) -> Result<PackedState, DeltaError> {
-    let n = read_len(&mut bytes)?;
+pub fn decode_flat(bytes: &[u8]) -> Result<PackedState, DeltaError> {
+    let mut r = FieldReader::new(bytes);
+    let n = r.count(1)?;
     let mut procs = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = read_varint(&mut bytes)?;
-        let id = u32::try_from(id).map_err(|_| DeltaError::VarintOverflow)?;
-        procs.push(id);
+        procs.push(read_id(&mut r)?);
     }
     let mut decided = Vec::with_capacity(n);
     for _ in 0..n {
-        decided.push(read_decided(&mut bytes)?);
+        decided.push(read_decided(&mut r)?);
     }
-    let cells_len = read_len(&mut bytes)?;
+    let cells_len = r.count(1)?;
     let mut cells = Vec::with_capacity(cells_len);
     for _ in 0..cells_len {
-        cells.push(read_varint(&mut bytes)?);
+        cells.push(r.varint()?);
     }
-    let touched = read_counter(&mut bytes)?;
-    let steps = read_varint(&mut bytes)?;
-    finish(
-        PackedState {
-            procs,
-            decided,
-            cells,
-            touched,
-            steps,
-        },
-        bytes,
-    )
+    let touched = r.usize()?;
+    let steps = r.varint()?;
+    r.end()?;
+    Ok(PackedState {
+        procs,
+        decided,
+        cells,
+        touched,
+        steps,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -332,14 +303,13 @@ pub fn apply_delta(base: &PackedState, bytes: &[u8]) -> Result<PackedState, Delt
 /// Any [`DeltaError`]; arbitrary input never panics. On error `state` may
 /// hold a partial patch — callers treat a failed decode as fatal for the
 /// run, never as a value.
-pub fn apply_delta_into(state: &mut PackedState, mut bytes: &[u8]) -> Result<(), DeltaError> {
-    state.steps = read_varint(&mut bytes)?;
-    state.touched = read_counter(&mut bytes)?;
-    let proc_changes = read_len(&mut bytes)?;
-    for _ in 0..proc_changes {
-        let index = read_varint(&mut bytes)?;
-        let id = read_varint(&mut bytes)?;
-        let id = u32::try_from(id).map_err(|_| DeltaError::VarintOverflow)?;
+pub fn apply_delta_into(state: &mut PackedState, bytes: &[u8]) -> Result<(), DeltaError> {
+    let mut r = FieldReader::new(bytes);
+    state.steps = r.varint()?;
+    state.touched = r.usize()?;
+    for _ in 0..r.count(1)? {
+        let index = r.varint()?;
+        let id = read_id(&mut r)?;
         let len = state.procs.len();
         let slot = usize::try_from(index)
             .ok()
@@ -347,10 +317,9 @@ pub fn apply_delta_into(state: &mut PackedState, mut bytes: &[u8]) -> Result<(),
             .ok_or(DeltaError::IndexOutOfRange { index, len })?;
         *slot = id;
     }
-    let decided_changes = read_len(&mut bytes)?;
-    for _ in 0..decided_changes {
-        let index = read_varint(&mut bytes)?;
-        let value = read_decided(&mut bytes)?;
+    for _ in 0..r.count(1)? {
+        let index = r.varint()?;
+        let value = read_decided(&mut r)?;
         let len = state.decided.len();
         let slot = usize::try_from(index)
             .ok()
@@ -363,8 +332,8 @@ pub fn apply_delta_into(state: &mut PackedState, mut bytes: &[u8]) -> Result<(),
     // grown position must appear in the change list, so a well-formed
     // record never exceeds base length + remaining bytes. Rejecting beyond
     // that keeps the resize below allocation-attack scale.
-    let cells_len = read_varint(&mut bytes)?;
-    if cells_len > (state.cells.len() + bytes.len()) as u64 {
+    let cells_len = r.varint()?;
+    if cells_len > (state.cells.len() + r.rest().len()) as u64 {
         return Err(DeltaError::LengthOverflow { len: cells_len });
     }
     let cells_len = cells_len as usize;
@@ -372,10 +341,9 @@ pub fn apply_delta_into(state: &mut PackedState, mut bytes: &[u8]) -> Result<(),
     // is overwritten by a well-formed delta and only survives corrupt input
     // (where any fixed word is as good as any other).
     state.cells.resize(cells_len, super::TAG_BOT);
-    let cell_changes = read_len(&mut bytes)?;
-    for _ in 0..cell_changes {
-        let index = read_varint(&mut bytes)?;
-        let word = read_varint(&mut bytes)?;
+    for _ in 0..r.count(1)? {
+        let index = r.varint()?;
+        let word = r.varint()?;
         let slot = usize::try_from(index)
             .ok()
             .and_then(|i| state.cells.get_mut(i))
@@ -385,7 +353,7 @@ pub fn apply_delta_into(state: &mut PackedState, mut bytes: &[u8]) -> Result<(),
             })?;
         *slot = word;
     }
-    finish((), bytes)
+    r.end()
 }
 
 #[cfg(test)]
@@ -521,6 +489,13 @@ mod tests {
         assert_eq!(
             apply_delta(&parent, &bad),
             Err(DeltaError::LengthOverflow { len: 1 << 33 })
+        );
+        // 2^62 elements of 16 bytes: a wrapping multiply would read 0 bytes.
+        let mut huge = Vec::new();
+        write_varint(&mut huge, 1 << 62);
+        assert_eq!(
+            FieldReader::new(&huge).count(16),
+            Err(DeltaError::LengthOverflow { len: 1 << 62 })
         );
     }
 }

@@ -1,16 +1,14 @@
-//! Length-prefixed, CRC-guarded frames: the shard-exchange wire format.
+//! Length-prefixed, CRC-guarded frames: the one checked container for
+//! every byte the explorer reads back.
 //!
-//! The distributed explorer routes cross-shard candidates between shard
-//! processes over Unix-domain sockets. This module is the *transport* layer of that
-//! exchange: byte frames with the same header discipline the snapshot
-//! format pins: magic, version, CRC32-per-frame, and typed total decoders
-//! that never panic on hostile bytes.
-//!
-//! What the frames *mean* (message kinds, round protocol, admission
-//! verdicts) is the consumer's business (`cbh_verify::dist`, whose
-//! payloads are varints and fingerprints, never packed states); this layer
-//! only guarantees that a frame either round-trips bit-exactly or fails
-//! with a typed [`FrameError`].
+//! They carry the shard exchange (`cbh_verify::dist`), checkpoint
+//! snapshots (`cbh_verify::snapshot`, a stream of frames) and spilled
+//! frontier runs (`cbh_verify::frontier`, a frame per run). A frame
+//! either round-trips bit-exactly or fails with a typed [`FrameError`];
+//! the decoders never panic on hostile bytes. What frames *mean* is the
+//! consumer's business; consumers read payload fields through one total
+//! cursor, [`FieldReader`], which fails with the varint codec's
+//! [`DeltaError`].
 //!
 //! ## Wire layout
 //!
@@ -28,6 +26,7 @@
 //! the CRC; everything else — version, kind, length, payload — is covered,
 //! so a flipped bit fails typed instead of smuggling in a different frame.
 
+use super::delta::{read_varint, DeltaError};
 use std::fmt;
 use std::io::Read;
 
@@ -135,9 +134,8 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC32 (IEEE) of `bytes` — the one checksum both this frame format and
-/// the explorer's on-disk snapshot format use.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// CRC32 (IEEE) of `bytes`: the frame checksum.
+fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     let mut words = bytes.chunks_exact(8);
@@ -186,7 +184,7 @@ pub fn encode_frame(kind: u8, payload: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Total byte length of a frame carrying a `payload_len`-byte payload.
-pub fn frame_len(payload_len: usize) -> usize {
+pub const fn frame_len(payload_len: usize) -> usize {
     FRAME_HEADER_LEN + payload_len + FRAME_TRAILER_LEN
 }
 
@@ -311,6 +309,92 @@ impl FrameReader {
         let n = r.read(&mut chunk)?;
         self.push(&chunk[..n]);
         Ok(n)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Payload fields
+// ---------------------------------------------------------------------------
+
+/// A total cursor over one payload's fields. Every call returns the next
+/// field or a typed [`DeltaError`] ([`DeltaError::Truncated`] when the
+/// payload ends inside it); none panics, and no count may claim more
+/// elements than the bytes left could encode.
+#[derive(Debug, Clone)]
+pub struct FieldReader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> FieldReader<'a> {
+    /// A cursor at the start of `payload`.
+    pub fn new(payload: &'a [u8]) -> Self {
+        FieldReader { bytes: payload }
+    }
+
+    /// The next LEB128 varint, as [`read_varint`] reads it.
+    pub fn varint(&mut self) -> Result<u64, DeltaError> {
+        read_varint(&mut self.bytes)
+    }
+
+    /// The next varint as a `usize` ([`DeltaError::VarintOverflow`] past it).
+    pub fn usize(&mut self) -> Result<usize, DeltaError> {
+        usize::try_from(self.varint()?).map_err(|_| DeltaError::VarintOverflow)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, DeltaError> {
+        let (&byte, rest) = self.bytes.split_first().ok_or(DeltaError::Truncated)?;
+        self.bytes = rest;
+        Ok(byte)
+    }
+
+    /// The next byte as a flag: `0` or `1`, else [`DeltaError::InvalidTag`].
+    pub fn bool(&mut self) -> Result<bool, DeltaError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(DeltaError::InvalidTag(other)),
+        }
+    }
+
+    /// The next 16-byte little-endian fingerprint.
+    pub fn fp(&mut self) -> Result<u128, DeltaError> {
+        let split = self.bytes.split_first_chunk::<16>();
+        let (fp, rest) = split.ok_or(DeltaError::Truncated)?;
+        self.bytes = rest;
+        Ok(u128::from_le_bytes(*fp))
+    }
+
+    /// An element count, each element at least `min_elem_bytes` long: a
+    /// count the bytes left cannot encode is [`DeltaError::LengthOverflow`],
+    /// so a corrupt one never drives an allocation past the payload's size.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, DeltaError> {
+        let len = self.varint()?;
+        if len.saturating_mul(min_elem_bytes as u64) > self.bytes.len() as u64 {
+            return Err(DeltaError::LengthOverflow { len });
+        }
+        Ok(len as usize)
+    }
+
+    /// A length-prefixed byte string.
+    pub fn bytes(&mut self) -> Result<&'a [u8], DeltaError> {
+        let len = self.count(1)?;
+        let (head, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    /// The bytes not yet read; the cursor stays where it is.
+    pub fn rest(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// End of payload: any byte left is [`DeltaError::TrailingBytes`].
+    pub fn end(&self) -> Result<(), DeltaError> {
+        match self.bytes.len() {
+            0 => Ok(()),
+            remaining => Err(DeltaError::TrailingBytes { remaining }),
+        }
     }
 }
 

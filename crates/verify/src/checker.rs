@@ -594,11 +594,12 @@ impl Explorer {
     /// bit-identical `(ExploreOutcome, ExploreStats)` of one uninterrupted
     /// run.
     ///
-    /// A snapshot that exists but is corrupt or belongs to a different
-    /// exploration is an **error**, not a silent fresh start — crashes
-    /// cannot corrupt a snapshot (writes are atomic), so damage means
-    /// something external happened and deserves a decision, not a
-    /// multi-hour re-run.
+    /// A snapshot that exists but is corrupt, was written by another
+    /// snapshot version, or belongs to a different exploration is an
+    /// **error**, not a silent fresh start — crashes cannot corrupt a
+    /// snapshot (writes are atomic, and every frame of it is CRC-checked on
+    /// read), so damage means something external happened and deserves a
+    /// decision, not a multi-hour re-run.
     ///
     /// # Panics
     ///

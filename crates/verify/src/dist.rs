@@ -113,8 +113,8 @@ use crate::frontier::{FrontierStore, SpillCodec, SpillContext, SpillError};
 use crate::packed_engine::{
     cache_cap_of, expand_node, Edge, Node, NodeCodec, RunCfg, MIN_PARALLEL_CONFIGS,
 };
-use cbh_model::packed::delta::{read_varint, write_varint};
-use cbh_model::packed::frame::frame_len;
+use cbh_model::packed::delta::{write_varint, DeltaError};
+use cbh_model::packed::frame::{frame_len, FieldReader};
 use cbh_model::{
     encode_frame, FrameReader, PackedCache, PackedCtx, PackedState, Process, Protocol,
 };
@@ -224,6 +224,14 @@ impl ShardExit {
 impl From<SpillError> for ShardExit {
     fn from(e: SpillError) -> Self {
         ShardExit::Fatal(e.into())
+    }
+}
+
+/// A message that does not parse means the coordinator (or the kernel) is
+/// broken: exit silently.
+impl From<DeltaError> for ShardExit {
+    fn from(_: DeltaError) -> Self {
+        ShardExit::Silent
     }
 }
 
@@ -361,30 +369,8 @@ fn expand_layer<P: Process + Send + Sync>(
 }
 
 // ---------------------------------------------------------------------------
-// Shard wire helpers
+// Shard wire and replay
 // ---------------------------------------------------------------------------
-
-/// Varint field read, shard side: wire garbage means the coordinator (or
-/// the kernel) is broken — exit silently.
-fn rv(p: &mut &[u8]) -> Result<u64, ShardExit> {
-    read_varint(p).map_err(|_| ShardExit::Silent)
-}
-
-/// 16-byte little-endian fingerprint read.
-fn take_fp(p: &mut &[u8]) -> Result<u128, ShardExit> {
-    if p.len() < 16 {
-        return Err(ShardExit::Silent);
-    }
-    let (fp, rest) = p.split_at(16);
-    *p = rest;
-    Ok(u128::from_le_bytes(fp.try_into().expect("16 bytes")))
-}
-
-fn take_u8(p: &mut &[u8]) -> Result<u8, ShardExit> {
-    let (&b, rest) = p.split_first().ok_or(ShardExit::Silent)?;
-    *p = rest;
-    Ok(b)
-}
 
 /// Blocking frame read: refills the reassembly buffer from the socket
 /// until one complete frame is available. `None` on EOF, IO failure or a
@@ -577,7 +563,9 @@ impl<'a, P: Process + Send + Sync> Shard<'a, P> {
         let (ctx, cfg, id) = (self.ctx, self.cfg, self.id);
         match kind {
             K_ROUND => {
-                let expand = payload.first().copied().unwrap_or(0) != 0;
+                let mut r = FieldReader::new(payload);
+                let expand = r.bool()?;
+                r.end()?;
                 self.round += 1;
                 while let Some(mut node) = self.frontier.pop()? {
                     node.expand = expand;
@@ -635,20 +623,19 @@ impl<'a, P: Process + Send + Sync> Shard<'a, P> {
                 reply(K_DONE, p)?;
             }
             K_SUCC => {
-                let mut p = payload;
-                let dest = rv(&mut p)?;
-                if dest as usize != id {
+                let mut r = FieldReader::new(payload);
+                if r.usize()? != id {
                     return Err(ShardExit::Silent); // misrouted: protocol dead
                 }
-                let count = rv(&mut p)?;
-                for _ in 0..count {
+                for _ in 0..r.count(18)? {
                     self.pending.push(Cand {
-                        parent_idx: rv(&mut p)?,
-                        pid: rv(&mut p)?,
-                        fp: take_fp(&mut p)?,
+                        parent_idx: r.varint()?,
+                        pid: r.varint()?,
+                        fp: r.fp()?,
                         slot: REMOTE,
                     });
                 }
+                r.end()?;
             }
             K_FLUSH => {
                 // The shard-global admission order: the reference's layer
@@ -723,8 +710,8 @@ impl<'a, P: Process + Send + Sync> Shard<'a, P> {
                 self.layer_cost = 0;
             }
             K_COMMIT => {
-                let mut p = payload;
-                if take_u8(&mut p)? != 0 {
+                let mut r = FieldReader::new(payload);
+                if r.bool()? {
                     // Halt: report telemetry and stop.
                     let mut sp = Vec::new();
                     write_varint(&mut sp, self.mem.tracker().bytes_spilled());
@@ -735,21 +722,19 @@ impl<'a, P: Process + Send + Sync> Shard<'a, P> {
                     reply(K_STATS, sp)?;
                     return Ok(true);
                 }
-                let mine = rv(&mut p)? as usize;
+                let mine = r.usize()?;
                 if mine != self.admitted {
                     return Err(ShardExit::Silent);
                 }
-                let mut indices = Vec::with_capacity(mine);
-                for _ in 0..mine {
-                    indices.push(rv(&mut p)?);
-                }
-                let link_count = rv(&mut p)? as usize;
+                let indices = (0..mine)
+                    .map(|_| r.varint())
+                    .collect::<Result<Vec<_>, _>>()?;
+                let link_count = r.count(2)?;
                 self.meta.reserve(link_count);
                 for _ in 0..link_count {
-                    let parent = rv(&mut p)?;
-                    let pid = rv(&mut p)?;
-                    self.meta.push((parent, pid));
+                    self.meta.push((r.varint()?, r.varint()?));
                 }
+                r.end()?;
                 // Horizon admissions take no frontier slot (`fresh` is then
                 // empty): their indices are only mirrored in `meta`.
                 for (mut node, idx) in self.fresh.drain(..).zip(indices) {
@@ -1046,11 +1031,6 @@ fn reported(payload: &[u8]) -> SimError {
 // Coordinator side: the round loop
 // ---------------------------------------------------------------------------
 
-/// Varint field read, coordinator side.
-fn rv_c(p: &mut &[u8]) -> Result<u64, SimError> {
-    read_varint(p).map_err(|_| wire_err("truncated varint field"))
-}
-
 /// One entry of the coordinator's merge sweep: a round's solo failures,
 /// expansion errors and fresh admissions, totally ordered by
 /// `(node index, stage, pid)` — events attach to the node being expanded
@@ -1079,6 +1059,61 @@ impl SweepItem {
     }
 }
 
+/// Parses a [`K_DONE`] payload from `shard`: queues its events and
+/// returns its activity bit.
+fn read_done(payload: &[u8], shard: usize, items: &mut Vec<SweepItem>) -> Result<bool, DeltaError> {
+    let mut r = FieldReader::new(payload);
+    let active = r.bool()?;
+    for _ in 0..r.count(3)? {
+        let tag = r.u8()?;
+        let idx = r.varint()?;
+        items.push(match tag {
+            0 => SweepItem::Solo {
+                idx,
+                pid: r.varint()?,
+            },
+            1 => SweepItem::Failed {
+                shard,
+                idx,
+                msg: String::from_utf8_lossy(r.bytes()?).into_owned(),
+            },
+            other => return Err(DeltaError::InvalidTag(other)),
+        });
+    }
+    r.end()?;
+    Ok(active)
+}
+
+/// Parses a [`K_VERDICTS`] payload from `shard` into sweep items.
+fn read_verdicts(
+    payload: &[u8],
+    shard: usize,
+    items: &mut Vec<SweepItem>,
+) -> Result<(), DeltaError> {
+    let mut r = FieldReader::new(payload);
+    for _ in 0..r.count(3)? {
+        let (parent_idx, pid) = (r.varint()?, r.varint()?);
+        let defect = match r.u8()? {
+            0 => None,
+            1 => Some(Defect::Validity {
+                decided: r.varint()?,
+            }),
+            2 => Some(Defect::Agreement {
+                a: r.varint()?,
+                b: r.varint()?,
+            }),
+            other => return Err(DeltaError::InvalidTag(other)),
+        };
+        items.push(SweepItem::Fresh {
+            shard,
+            parent_idx,
+            pid,
+            defect,
+        });
+    }
+    r.end()
+}
+
 /// Gathers the expansion phase: forwards [`K_SUCC`] messages to their
 /// owner as they arrive, collects every shard's [`K_DONE`].
 fn gather_round<T: Transport>(hub: &mut Hub<T>) -> Result<(bool, Vec<SweepItem>), SimError> {
@@ -1093,8 +1128,7 @@ fn gather_round<T: Transport>(hub: &mut Hub<T>) -> Result<(bool, Vec<SweepItem>)
         match inbound {
             Inbound::Gone => return Err(hub.link.stopped(shard)),
             Inbound::Frame(K_SUCC, payload) => {
-                let mut peek = payload.as_slice();
-                let dest = rv_c(&mut peek)? as usize;
+                let dest = FieldReader::new(&payload).usize().map_err(wire_err)?;
                 if dest >= shards || dest == shard {
                     return Err(wire_err("candidate routed to an impossible shard"));
                 }
@@ -1104,40 +1138,7 @@ fn gather_round<T: Transport>(hub: &mut Hub<T>) -> Result<(bool, Vec<SweepItem>)
                 if done[shard] {
                     return Err(wire_err("shard finished the same round twice"));
                 }
-                let mut p = payload.as_slice();
-                let pp = &mut p;
-                let active = {
-                    let (&b, rest) = pp.split_first().ok_or_else(|| wire_err("empty DONE"))?;
-                    *pp = rest;
-                    b != 0
-                };
-                any_active |= active;
-                let events = rv_c(pp)?;
-                for _ in 0..events {
-                    let (&tag, rest) = pp.split_first().ok_or_else(|| wire_err("truncated event"))?;
-                    *pp = rest;
-                    let idx = rv_c(pp)?;
-                    match tag {
-                        0 => {
-                            let pid = rv_c(pp)?;
-                            items.push(SweepItem::Solo { idx, pid });
-                        }
-                        1 => {
-                            let len = rv_c(pp)? as usize;
-                            if len > pp.len() {
-                                return Err(wire_err("event message past payload end"));
-                            }
-                            let (msg, rest) = pp.split_at(len);
-                            *pp = rest;
-                            items.push(SweepItem::Failed {
-                                shard,
-                                idx,
-                                msg: String::from_utf8_lossy(msg).into_owned(),
-                            });
-                        }
-                        _ => return Err(wire_err("unknown event tag")),
-                    }
-                }
+                any_active |= read_done(&payload, shard, &mut items).map_err(wire_err)?;
                 done[shard] = true;
             }
             Inbound::Frame(K_ERROR, payload) => return Err(reported(&payload)),
@@ -1163,32 +1164,7 @@ fn gather_verdicts<T: Transport>(
                 if got[shard] {
                     return Err(wire_err("shard flushed the same round twice"));
                 }
-                let mut p = payload.as_slice();
-                let count = rv_c(&mut p)?;
-                for _ in 0..count {
-                    let parent_idx = rv_c(&mut p)?;
-                    let pid = rv_c(&mut p)?;
-                    let (&tag, rest) =
-                        p.split_first().ok_or_else(|| wire_err("truncated verdict"))?;
-                    p = rest;
-                    let defect = match tag {
-                        0 => None,
-                        1 => Some(Defect::Validity {
-                            decided: rv_c(&mut p)?,
-                        }),
-                        2 => Some(Defect::Agreement {
-                            a: rv_c(&mut p)?,
-                            b: rv_c(&mut p)?,
-                        }),
-                        _ => return Err(wire_err("unknown defect tag")),
-                    };
-                    items.push(SweepItem::Fresh {
-                        shard,
-                        parent_idx,
-                        pid,
-                        defect,
-                    });
-                }
+                read_verdicts(&payload, shard, items).map_err(wire_err)?;
                 got[shard] = true;
             }
             Inbound::Frame(K_ERROR, payload) => return Err(reported(&payload)),
@@ -1221,13 +1197,14 @@ fn drain_stats<T: Transport>(hub: &mut Hub<T>) -> AggStats {
         let Some((shard, inbound)) = hub.recv() else { break };
         match inbound {
             Inbound::Frame(kind, payload) if kind == K_STATS && !got[shard] => {
-                let mut p = payload.as_slice();
-                let rv0 = |p: &mut &[u8]| read_varint(p).unwrap_or(0);
-                agg.bytes_spilled += rv0(&mut p);
-                agg.peak_resident = agg.peak_resident.max(rv0(&mut p) as usize);
-                agg.seen_resident += rv0(&mut p) as usize;
-                agg.intern_resident = agg.intern_resident.max(rv0(&mut p) as usize);
-                agg.fpset_disk += rv0(&mut p);
+                // Telemetry only: a field that does not parse counts zero.
+                let mut r = FieldReader::new(&payload);
+                let mut field = || r.varint().unwrap_or(0);
+                agg.bytes_spilled += field();
+                agg.peak_resident = agg.peak_resident.max(field() as usize);
+                agg.seen_resident += field() as usize;
+                agg.intern_resident = agg.intern_resident.max(field() as usize);
+                agg.fpset_disk += field();
                 got[shard] = true;
             }
             // Stray in-flight frames from the cut round and duplicate
@@ -1506,22 +1483,13 @@ pub fn accept_shards(listener: &UnixListener, shards: usize) -> std::io::Result<
     let invalid = |what: &str| Error::new(ErrorKind::InvalidData, format!("dist hello: {what}"));
     let mut slots: Vec<Option<UnixStream>> = (0..shards).map(|_| None).collect();
     for _ in 0..shards {
-        let (mut sock, _) = listener.accept()?;
-        let mut reader = FrameReader::new();
-        let id = loop {
-            match reader.next_frame() {
-                Ok(Some((K_HELLO, payload))) => {
-                    let mut p = payload.as_slice();
-                    break read_varint(&mut p).map_err(|_| invalid("truncated id"))? as usize;
-                }
-                Ok(Some(_)) => return Err(invalid("expected a HELLO frame")),
-                Err(_) => return Err(invalid("corrupt greeting")),
-                Ok(None) => {
-                    if reader.fill_from(&mut sock)? == 0 {
-                        return Err(invalid("connection closed before HELLO"));
-                    }
-                }
-            }
+        let (sock, _) = listener.accept()?;
+        let id = match read_frame(&mut FrameReader::new(), &sock) {
+            Some((K_HELLO, payload)) => FieldReader::new(&payload)
+                .usize()
+                .map_err(|_| invalid("truncated id"))?,
+            Some(_) => return Err(invalid("expected a HELLO frame")),
+            None => return Err(invalid("no HELLO frame (closed, unreadable or corrupt)")),
         };
         if id >= shards {
             return Err(invalid("shard id out of range"));
@@ -1782,6 +1750,23 @@ mod tests {
         let (_, stats) = explore_sharded(&protocol, &[0, 1], limits, cfg).unwrap();
         assert!(stats.frames_exchanged > 0, "round protocol moved no frames");
         assert!(stats.frame_bytes > 0, "round protocol moved no bytes");
+    }
+
+    #[test]
+    fn a_commit_claiming_2_62_links_exits_silently() {
+        let protocol = MaxRegConsensus::new(2);
+        let machine = Machine::start(&protocol, &[0, 1]).unwrap();
+        let ctx = machine.packed_ctx();
+        let limits = ExploreLimits::default();
+        let cfg = DistConfig::default();
+        let root = machine.pack(&ctx);
+        let shard = Shard::new(&ctx, root, &[0, 1], limits, cfg, 0);
+        let mut shard = shard.ok().expect("a fresh shard");
+        // Not halting, no admissions of ours, then the link count.
+        let mut commit = vec![0, 0];
+        write_varint(&mut commit, 1 << 62);
+        let served = shard.handle(K_COMMIT, &commit, &mut |_, _| Ok(()));
+        assert!(matches!(served, Err(ShardExit::Silent)));
     }
 
     #[test]

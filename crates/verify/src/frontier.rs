@@ -7,8 +7,8 @@
 //! so the queue is the one structure that needs a budgeted backend:
 //! [`FrontierStore`], a FIFO queue. Within the budget it *is* the plain
 //! `VecDeque` the engines always used (the in-memory backend); past the
-//! budget it drains its resident backlog as one **run** of encoded records
-//! into a [`SpillArena`] and streams the run back, record by record, when
+//! budget it drains its resident backlog as **runs** of encoded records
+//! into a [`SpillArena`] and streams each run back, record by record, when
 //! the queue's head reaches it. Runs are written in admission order and read
 //! in admission order, so the queue's FIFO contract — and therefore the
 //! committer's determinism argument — is untouched by where the bytes live.
@@ -17,6 +17,14 @@
 //! delta-compresses each record against its predecessor in the run
 //! (consecutive admissions are siblings or cousins, so a record is a few
 //! bytes — see [`cbh_model::packed::delta`]).
+//!
+//! Each run is sealed as one [`cbh_model::packed::frame`] frame: its
+//! payload is the run's records, each behind a varint length prefix, and
+//! the frame's CRC covers them all. A backlog is cut into runs of about
+//! 1 MiB of records, far below the frame payload cap. Reading a run back
+//! checks its frame first, so a byte damaged on disk is a typed
+//! [`SpillError::Corrupt`], never a record that still parses as a
+//! different item.
 //!
 //! # Budget semantics
 //!
@@ -42,7 +50,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use cbh_model::packed::delta::{read_varint, write_varint};
+use cbh_model::packed::delta::write_varint;
+use cbh_model::packed::frame::{
+    decode_frame_exact, encode_frame, frame_len, FieldReader, FRAME_HEADER_LEN,
+};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -119,9 +130,9 @@ impl From<SpillError> for cbh_sim::SimError {
 /// How a store element crosses the memory/disk boundary.
 ///
 /// `decode` consumes exactly the bytes `encode` produced for the record (the
-/// store frames records with length prefixes); `prev` is the record encoded
-/// immediately before this one in the same run — the delta base — and is
-/// `None` for a run's first record.
+/// store length-prefixes each record inside its run's CRC-checked frame);
+/// `prev` is the record encoded immediately before this one in the same
+/// run — the delta base — and is `None` for a run's first record.
 pub trait SpillCodec {
     /// The element type stored.
     type Item;
@@ -631,27 +642,42 @@ impl SpillContext {
 // FIFO store
 // ---------------------------------------------------------------------------
 
-/// One spilled run: `count` length-prefixed records at `offset`.
+/// Frame kind of a spilled run.
+const K_RUN: u8 = 1;
+
+/// A run is sealed once its records reach this many bytes: far below the
+/// frame payload cap, and a bound on what one streamed-back run holds
+/// resident.
+const RUN_CUT: usize = 1 << 20;
+
+/// One spilled run: a frame of length-prefixed records, `bytes` long at
+/// `offset`.
 struct Run {
     offset: u64,
     bytes: usize,
-    count: usize,
 }
 
-/// A run being streamed back: its bytes, a read position, and the previously
-/// decoded record (the delta base for the next one).
+/// A run being streamed back: its frame up to the payload's end, the read
+/// position, and the previously decoded record (the delta base for the
+/// next one).
 struct Cursor<T> {
     buf: Vec<u8>,
     pos: usize,
-    remaining: usize,
     prev: Option<T>,
+}
+
+/// A run that fails its frame check or its record framing.
+fn corrupt_run(detail: impl fmt::Display) -> SpillError {
+    SpillError::Corrupt {
+        detail: format!("spill run: {detail}"),
+    }
 }
 
 /// A FIFO queue of `C::Item` with a byte budget.
 ///
 /// Always pops in exact push order. Within the budget it behaves like (and
-/// costs like) a `VecDeque`; past it, the resident backlog is encoded as one
-/// admission-ordered run in the shared arena and streamed back — decoded one
+/// costs like) a `VecDeque`; past it, the resident backlog is encoded as
+/// admission-ordered runs in the shared arena and streamed back — decoded one
 /// record at a time, each the delta base of the next — when its turn to pop
 /// comes. Pop order is `oldest run → … → newest run → resident backlog`,
 /// which is push order because spilling always drains the *entire* backlog.
@@ -710,28 +736,31 @@ where
         Ok(())
     }
 
-    /// Encodes the whole resident backlog as one run, in order.
+    /// Encodes the whole resident backlog, in order, as runs of at most
+    /// one frame each.
     fn spill_back(&mut self) -> Result<(), SpillError> {
         let mut buf = Vec::new();
         let mut prev: Option<&C::Item> = None;
         let mut record = Vec::new();
-        let count = self.back.len();
-        for (item, _) in &self.back {
+        for (i, (item, _)) in self.back.iter().enumerate() {
             record.clear();
             self.codec.encode(item, prev, &mut record);
             write_varint(&mut buf, record.len() as u64);
             buf.extend_from_slice(&record);
             prev = Some(item);
+            if buf.len() >= RUN_CUT || i + 1 == self.back.len() {
+                let mut frame = Vec::with_capacity(frame_len(buf.len()));
+                encode_frame(K_RUN, &buf, &mut frame);
+                let bytes = frame.len();
+                let offset = self.ctx.arena.append(frame)?;
+                self.ctx.tracker.add_spilled(bytes as u64);
+                self.runs.push_back(Run { offset, bytes });
+                // The next run decodes on its own: it starts without a base.
+                prev = None;
+                buf.clear();
+            }
         }
-        let bytes = buf.len();
-        let offset = self.ctx.arena.append(buf)?;
-        self.ctx.tracker.add_spilled(bytes as u64);
         self.ctx.tracker.sub_resident(self.back_cost);
-        self.runs.push_back(Run {
-            offset,
-            bytes,
-            count,
-        });
         self.back.clear();
         self.back_cost = 0;
         Ok(())
@@ -742,38 +771,32 @@ where
     /// # Errors
     ///
     /// Propagates the arena's typed [`SpillError`] if a spilled run could
-    /// not be streamed back.
+    /// not be streamed back, and [`SpillError::Corrupt`] if its frame fails
+    /// its check.
     pub fn pop(&mut self) -> Result<Option<C::Item>, SpillError> {
         loop {
             if let Some(cursor) = &mut self.cursor {
-                if cursor.remaining > 0 {
-                    let mut slice = &cursor.buf[cursor.pos..];
-                    let before = slice.len();
-                    let framing = |detail: String| SpillError::Corrupt {
-                        detail: format!("spill run framing: {detail}"),
-                    };
-                    let rec_len = read_varint(&mut slice).map_err(|e| framing(e.to_string()))?;
-                    let record = usize::try_from(rec_len)
-                        .ok()
-                        .and_then(|len| slice.get(..len))
-                        .ok_or_else(|| framing(format!("record of {rec_len} bytes overruns the run")))?;
+                if cursor.pos < cursor.buf.len() {
+                    let mut r = FieldReader::new(&cursor.buf[cursor.pos..]);
+                    let record = r.bytes().map_err(corrupt_run)?;
                     let item = self.codec.decode_step(record, &mut cursor.prev)?;
-                    cursor.pos += before - slice.len() + record.len();
-                    cursor.remaining -= 1;
+                    cursor.pos = cursor.buf.len() - r.rest().len();
                     self.len -= 1;
                     return Ok(Some(item));
                 }
                 let spent = self.cursor.take().expect("checked above");
                 self.ctx.tracker.sub_resident(spent.buf.len());
             } else if let Some(run) = self.runs.pop_front() {
-                // Stream the oldest run back: its (delta-compressed) bytes
-                // become resident while being consumed.
-                let buf = self.ctx.arena.read(run.offset, run.bytes)?;
+                // Stream the oldest run back once its frame checks: its
+                // (delta-compressed) records become resident while being
+                // consumed.
+                let mut buf = self.ctx.arena.read(run.offset, run.bytes)?;
+                let (_, payload, _) = decode_frame_exact(&buf).map_err(corrupt_run)?;
+                buf.truncate(FRAME_HEADER_LEN + payload.len());
                 self.ctx.tracker.add_resident(buf.len());
                 self.cursor = Some(Cursor {
                     buf,
-                    pos: 0,
-                    remaining: run.count,
+                    pos: FRAME_HEADER_LEN,
                     prev: None,
                 });
             } else {
@@ -815,8 +838,8 @@ mod tests {
             write_varint(out, item ^ prev.copied().unwrap_or(0));
         }
 
-        fn decode(&self, mut bytes: &[u8], prev: Option<&u64>) -> Result<u64, SpillError> {
-            Ok(read_varint(&mut bytes).expect("test record") ^ prev.copied().unwrap_or(0))
+        fn decode(&self, bytes: &[u8], prev: Option<&u64>) -> Result<u64, SpillError> {
+            Ok(FieldReader::new(bytes).varint().expect("test record") ^ prev.copied().unwrap_or(0))
         }
 
         fn cost(&self, _item: &u64) -> usize {
@@ -903,17 +926,43 @@ mod tests {
         SpillContext::new(None).sync().unwrap();
     }
 
-    #[test]
-    fn a_corrupt_length_prefix_is_a_typed_error() {
-        // At a zero budget one push spills a one-record run, `[len = 1, 7]`;
-        // once durable, claim a record longer than the whole run.
+    /// Spills `7` alone at a zero budget, a one-frame run with the payload
+    /// `[len = 1, 7]`, and overwrites payload byte `at` in the durable file.
+    fn pop_after_damage(at: usize, byte: u8) -> Result<Option<u64>, SpillError> {
         let ctx = SpillContext::new(Some(0));
         let mut store = FrontierStore::new(U64Codec, ctx.clone());
         store.push(7).unwrap();
         ctx.sync().unwrap();
         let path = ctx.arena().durable_path().expect("spill file exists");
-        write_at(&OpenOptions::new().write(true).open(path).unwrap(), 0, &[0x7f]).unwrap();
-        assert!(matches!(store.pop(), Err(SpillError::Corrupt { .. })));
+        let file = OpenOptions::new().write(true).open(path).unwrap();
+        write_at(&file, (FRAME_HEADER_LEN + at) as u64, &[byte]).unwrap();
+        store.pop()
+    }
+
+    #[test]
+    fn damaged_spill_runs_are_typed_errors() {
+        // A record longer than the whole run, and a value that parses as
+        // well as `7` does: only the run's CRC tells `6` apart.
+        for (at, byte) in [(0, 0x7f), (1, 6)] {
+            let damaged = pop_after_damage(at, byte);
+            assert!(matches!(damaged, Err(SpillError::Corrupt { .. })));
+        }
+    }
+
+    #[test]
+    fn a_backlog_past_one_run_spills_as_several() {
+        // 150,001 records of 10 bytes (each value differs from the last in
+        // its top byte) fill the budget until the last, which spills them all
+        // at once: more than one run's worth.
+        let ctx = SpillContext::new(Some(1_200_000));
+        let mut store = FrontierStore::new(U64Codec, ctx.clone());
+        let items: Vec<u64> = (0..150_001).map(|i: u64| i << 56).collect();
+        for &v in &items {
+            store.push(v).unwrap();
+        }
+        assert_eq!(store.runs.len(), 2);
+        assert_eq!(drain(&mut store), items);
+        assert_eq!(ctx.tracker().resident_bytes(), 0);
     }
 
     #[test]

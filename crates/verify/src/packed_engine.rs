@@ -81,7 +81,8 @@ use crate::checker::{link_of, schedule_of, ExploreLimits, ExploreOutcome, Explor
 use crate::fpset::SeenBackend;
 use crate::frontier::{FrontierStore, SpillCodec, SpillContext, SpillError};
 use crate::snapshot::{Snapshot, SnapshotError, NO_PARENT};
-use cbh_model::packed::delta::{read_varint, write_varint};
+use cbh_model::packed::delta::{write_varint, DeltaError};
+use cbh_model::packed::frame::FieldReader;
 use cbh_model::{apply_delta, apply_delta_into, decode_flat, encode_delta, encode_flat, PackedCache, PackedCtx,
     PackedState, Process, Protocol};
 use cbh_sim::{Machine, SimError};
@@ -224,19 +225,14 @@ fn corrupt_node(detail: impl std::fmt::Display) -> SpillError {
 
 /// Parses a node record's fixed fields with checked reads: its index,
 /// digest, expand flag, base tag (0 flat, 1 delta) and the state bytes.
-fn decode_header(mut bytes: &[u8]) -> Result<(usize, u128, bool, u8, &[u8]), SpillError> {
-    let index = read_varint(&mut bytes).map_err(corrupt_node)?;
-    let index = usize::try_from(index).map_err(corrupt_node)?;
-    let (fp, rest) = bytes
-        .split_first_chunk::<16>()
-        .ok_or_else(|| corrupt_node("short digest"))?;
-    let [expand, tag, state @ ..] = rest else {
-        return Err(corrupt_node("truncated flags"));
-    };
-    if *tag > 1 {
+fn decode_header(bytes: &[u8]) -> Result<(usize, u128, bool, u8, &[u8]), SpillError> {
+    let mut r = FieldReader::new(bytes);
+    let mut fields = || Ok::<_, DeltaError>((r.usize()?, r.fp()?, r.bool()?, r.u8()?));
+    let (index, fp, expand, tag) = fields().map_err(corrupt_node)?;
+    if tag > 1 {
         return Err(corrupt_node(format_args!("bad base tag {tag}")));
     }
-    Ok((index, u128::from_le_bytes(*fp), *expand != 0, *tag, state))
+    Ok((index, fp, expand, tag, r.rest()))
 }
 
 impl SpillCodec for NodeCodec {
@@ -1156,6 +1152,18 @@ mod tests {
         // A delta record needs a base to patch.
         assert!(is_corrupt(NodeCodec.decode(&delta, None)));
         assert!(is_corrupt(NodeCodec.decode_step(&delta, &mut None)));
+        // Spilled and damaged on disk in one digest byte (after the 10-byte
+        // frame header, the length prefix and the 1-byte index), a record
+        // fails its run's CRC instead of decoding to a node with another fp.
+        let mem = SpillContext::new(Some(0));
+        let mut queue = FrontierStore::new(NodeCodec, mem.clone());
+        queue.push(first).unwrap();
+        mem.sync().unwrap();
+        let path = mem.arena().durable_path().expect("spill file exists");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[12] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(queue.pop(), Err(SpillError::Corrupt { .. })));
     }
 
     #[test]

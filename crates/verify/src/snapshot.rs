@@ -14,41 +14,34 @@
 //! worker counts and budgets — and keeps it self-contained (arena spill
 //! files delete themselves on exit and are never referenced here).
 //!
-//! # Wire format (version 1)
+//! # Wire format (version 2)
 //!
-//! Everything is little-endian with explicit offsets; all decode paths are
-//! total and return typed [`SnapshotError`]s — corrupt, truncated or
-//! version-mismatched input can never panic. The file is written atomically
-//! (temp file in the same directory, `fsync`, rename), so a crash mid-write
-//! leaves the previous snapshot intact.
+//! A snapshot is a stream of [`cbh_model::packed::frame`] frames, the
+//! same CRC-guarded container the shard exchange and the spilled frontier
+//! runs use. Every byte is under the frame magic check or a frame CRC, and
+//! all decode paths are total: corrupt, truncated or version-mismatched
+//! input returns a typed [`SnapshotError`] and never panics. The file is
+//! written atomically (temp file in the same directory, `fsync`, rename),
+//! so a crash mid-write leaves the previous snapshot intact.
 //!
-//! ```text
-//! offset  size  field
-//! ------  ----  -----------------------------------------------
-//!      0     8  magic "CBHSNAP1"
-//!      8     4  version (u32, = 1)
-//!     12     4  section count (u32, = 4)
-//!     16     8  payload length in bytes (u64, = file len - 48)
-//!     24     8  admitted configuration count (u64; peekable)
-//!     32     8  reserved (0)
-//!     40     4  CRC32 (IEEE) of header bytes 0..40
-//!     44     4  reserved (0)
-//!     48     …  sections, back to back, each:
-//!               +0  tag (u32)   +4 payload CRC32 (u32)   +8 len (u64)
-//!               +16 payload (len bytes)
-//! ```
+//! The frames come in this order, each kind exactly as often as shown:
 //!
-//! Sections appear exactly once, in tag order:
+//! | kind | name        | payload                                           |
+//! |------|-------------|---------------------------------------------------|
+//! | 1    | HEAD        | version (u8, = 2), admitted configuration count   |
+//! | 2    | IDENTITY    | protocol name, `n`, inputs, limits, symmetry flag |
+//! | 3    | LINKS × k   | chunk length, then per admitted config:           |
+//! |      |             | (parent link + 1 or 0, pid), parents nondecreasing|
+//! | 4    | SEEN × k    | chunk length, then sorted, deduplicated admitted  |
+//! |      |             | fingerprints (16 B LE)                            |
+//! | 5    | CURSORS     | commit cursor, frontier peak, depth, complete flag|
 //!
-//! | tag | name     | payload                                              |
-//! |-----|----------|------------------------------------------------------|
-//! | 1   | IDENTITY | protocol name, `n`, inputs, limits, symmetry flag    |
-//! | 2   | LINKS    | per admitted config: (parent link + 1 or 0, pid),    |
-//! |     |          | parents nondecreasing (breadth-first order)          |
-//! | 3   | SEEN     | sorted, deduplicated admitted fingerprints (16 B LE) |
-//! | 4   | CURSORS  | commit cursor, frontier peak, depth, complete flag   |
-//!
-//! Varints are the LEB128 encoding of [`cbh_model::packed::delta`].
+//! LINKS and SEEN are cut into chunks of at most `CHUNK` (65,536)
+//! entries, so no frame comes near the frame layer's payload cap at any
+//! configuration count; the HEAD count says how many entries the chunks
+//! hold in all. HEAD comes first so a progress probe
+//! ([`Snapshot::peek_configs`]) reads one small frame. Varints are the
+//! LEB128 encoding of [`cbh_model::packed::delta`].
 //!
 //! # Version policy
 //!
@@ -58,8 +51,10 @@
 //! (re-run to the next checkpoint), so there is no cross-version migration.
 
 use crate::checker::ExploreLimits;
-use cbh_model::packed::delta::{read_varint, write_varint, DeltaError};
-use cbh_model::packed::frame::crc32;
+use cbh_model::packed::delta::{write_varint, DeltaError};
+use cbh_model::packed::frame::{
+    decode_frame_exact, encode_frame, frame_len, FieldReader, FrameError,
+};
 use cbh_model::Protocol;
 use std::fmt;
 use std::fs;
@@ -70,26 +65,20 @@ use std::path::Path;
 /// (the root's "parent"). Identical to the engine's internal sentinel.
 pub const NO_PARENT: usize = usize::MAX;
 
-const MAGIC: [u8; 8] = *b"CBHSNAP1";
-const VERSION: u32 = 1;
-const HEADER_LEN: usize = 48;
-const SECTION_HEADER_LEN: usize = 16;
+const VERSION: u8 = 2;
 
-const SEC_IDENTITY: u32 = 1;
-const SEC_LINKS: u32 = 2;
-const SEC_SEEN: u32 = 3;
-const SEC_CURSORS: u32 = 4;
-const SECTION_TAGS: [u32; 4] = [SEC_IDENTITY, SEC_LINKS, SEC_SEEN, SEC_CURSORS];
+const K_HEAD: u8 = 1;
+const K_IDENTITY: u8 = 2;
+const K_LINKS: u8 = 3;
+const K_SEEN: u8 = 4;
+const K_CURSORS: u8 = 5;
 
-fn section_name(tag: u32) -> &'static str {
-    match tag {
-        SEC_IDENTITY => "identity",
-        SEC_LINKS => "links",
-        SEC_SEEN => "seen",
-        SEC_CURSORS => "cursors",
-        _ => "header",
-    }
-}
+/// Entries per LINKS or SEEN frame: at most 1.3 MB of links or 1 MiB of
+/// fingerprints, far below the frame payload cap.
+const CHUNK: usize = 1 << 16;
+
+/// Section names by frame kind − 1.
+const SECTIONS: [&str; 5] = ["head", "identity", "links", "seen", "cursors"];
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -107,19 +96,18 @@ pub enum SnapshotError {
         /// The OS error kind.
         kind: std::io::ErrorKind,
     },
-    /// The input ended before a complete header/section/field.
-    Truncated,
-    /// The first eight bytes are not the snapshot magic.
-    BadMagic,
+    /// A frame failed its check where `section` belongs: the input ended
+    /// inside it, it lacks the frame magic, or its CRC does not match.
+    Frame {
+        /// Which section's frame failed (`"head"`, `"identity"`, …).
+        section: &'static str,
+        /// The frame layer's typed failure.
+        err: FrameError,
+    },
     /// The snapshot was written by an unknown format version.
     UnsupportedVersion {
         /// The version the file claims.
         found: u32,
-    },
-    /// A CRC32 check failed: the bytes were damaged after writing.
-    CrcMismatch {
-        /// Which section failed (`"header"` for the file header).
-        section: &'static str,
     },
     /// Structurally invalid content (bad counts, unsorted fingerprints,
     /// out-of-range indices, trailing bytes, …).
@@ -139,13 +127,9 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Io { op, kind } => write!(f, "snapshot {op} failed: {kind}"),
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
+            SnapshotError::Frame { section, err } => write!(f, "snapshot {section} frame: {err}"),
             SnapshotError::UnsupportedVersion { found } => {
                 write!(f, "unsupported snapshot version {found} (expected {VERSION})")
-            }
-            SnapshotError::CrcMismatch { section } => {
-                write!(f, "snapshot {section} section failed its CRC check")
             }
             SnapshotError::Malformed { detail } => write!(f, "malformed snapshot: {detail}"),
             SnapshotError::IdentityMismatch { detail } => {
@@ -157,14 +141,10 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// A field that does not parse inside a frame whose CRC checked.
 impl From<DeltaError> for SnapshotError {
     fn from(e: DeltaError) -> Self {
-        match e {
-            DeltaError::Truncated => SnapshotError::Truncated,
-            other => SnapshotError::Malformed {
-                detail: format!("bad varint: {other:?}"),
-            },
-        }
+        malformed(format!("bad field: {e}"))
     }
 }
 
@@ -176,6 +156,68 @@ fn malformed(detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed {
         detail: detail.into(),
     }
+}
+
+/// Splits the next frame off `bytes`; it must be a `want` frame.
+fn next_frame<'a>(bytes: &mut &'a [u8], want: u8) -> Result<FieldReader<'a>, SnapshotError> {
+    let all: &'a [u8] = bytes;
+    let section = SECTIONS[usize::from(want - 1)];
+    let (kind, payload, used) = decode_frame_exact(all).map_err(|err| match err {
+        // Version 1 files open with the magic "CBHSNAP1".
+        FrameError::BadMagic { found } if want == K_HEAD && found == *b"CBHS" => {
+            SnapshotError::UnsupportedVersion { found: 1 }
+        }
+        err => SnapshotError::Frame { section, err },
+    })?;
+    if kind != want {
+        return Err(malformed(format!("{section} frame of kind {kind}")));
+    }
+    *bytes = &all[used..];
+    Ok(FieldReader::new(payload))
+}
+
+/// Reads `kind` chunks, each a count and then entries of at least
+/// `min_bytes`, until `out` holds `total`; `entry` reads entry `i`. A chunk
+/// grows `out` only by what its bytes hold, whatever HEAD's count claims.
+fn read_chunks<T>(
+    bytes: &mut &[u8],
+    (kind, min_bytes): (u8, usize),
+    total: usize,
+    out: &mut Vec<T>,
+    mut entry: impl FnMut(&mut FieldReader<'_>, usize) -> Result<T, SnapshotError>,
+) -> Result<(), SnapshotError> {
+    while out.len() < total {
+        let mut r = next_frame(bytes, kind)?;
+        let count = r.count(min_bytes)?;
+        if count == 0 || count > total - out.len() {
+            return Err(malformed(format!("chunk of {count} past {total} entries")));
+        }
+        out.reserve(count);
+        for _ in 0..count {
+            let item = entry(&mut r, out.len())?;
+            out.push(item);
+        }
+        r.end()?;
+    }
+    Ok(())
+}
+
+/// Reads the HEAD frame off the front of `bytes`: the format version, then
+/// the admitted-configuration count.
+fn read_head(bytes: &mut &[u8]) -> Result<usize, SnapshotError> {
+    let mut r = next_frame(bytes, K_HEAD)?;
+    let version = r.u8()?;
+    if version != VERSION {
+        return Err(SnapshotError::UnsupportedVersion {
+            found: version.into(),
+        });
+    }
+    let configs = r.usize()?;
+    r.end()?;
+    if configs == 0 {
+        return Err(malformed("zero configurations"));
+    }
+    Ok(configs)
 }
 
 // ---------------------------------------------------------------------------
@@ -232,224 +274,136 @@ impl Snapshot {
         self.links.len() + 1
     }
 
+    /// Writes the snapshot's frames to `out` (see the module docs) and
+    /// returns the bytes written.
+    fn encode<W: Write>(&self, out: &mut W) -> std::io::Result<u64> {
+        let (mut payload, mut wire, mut written) = (Vec::new(), Vec::new(), 0u64);
+        let mut emit = |kind: u8, payload: &mut Vec<u8>| {
+            wire.clear();
+            encode_frame(kind, payload, &mut wire);
+            payload.clear();
+            written += wire.len() as u64;
+            out.write_all(&wire)
+        };
+
+        payload.push(VERSION);
+        write_varint(&mut payload, self.configs() as u64);
+        emit(K_HEAD, &mut payload)?;
+
+        write_varint(&mut payload, self.protocol.len() as u64);
+        payload.extend_from_slice(self.protocol.as_bytes());
+        write_varint(&mut payload, self.n as u64);
+        write_varint(&mut payload, self.inputs.len() as u64);
+        for &input in &self.inputs {
+            write_varint(&mut payload, input);
+        }
+        write_varint(&mut payload, self.depth as u64);
+        write_varint(&mut payload, self.max_configs as u64);
+        payload.push(u8::from(self.solo_check_budget.is_some()));
+        if let Some(budget) = self.solo_check_budget {
+            write_varint(&mut payload, budget);
+        }
+        payload.push(u8::from(self.symmetric));
+        emit(K_IDENTITY, &mut payload)?;
+
+        for chunk in self.links.chunks(CHUNK) {
+            write_varint(&mut payload, chunk.len() as u64);
+            for &(parent, pid) in chunk {
+                // Parent link + 1, so `NO_PARENT` (`usize::MAX`) wraps to 0.
+                write_varint(&mut payload, parent.wrapping_add(1) as u64);
+                write_varint(&mut payload, pid as u64);
+            }
+            emit(K_LINKS, &mut payload)?;
+        }
+
+        for chunk in self.seen.chunks(CHUNK) {
+            write_varint(&mut payload, chunk.len() as u64);
+            for &fp in chunk {
+                payload.extend_from_slice(&fp.to_le_bytes());
+            }
+            emit(K_SEEN, &mut payload)?;
+        }
+
+        write_varint(&mut payload, self.next_commit as u64);
+        write_varint(&mut payload, self.frontier_peak as u64);
+        write_varint(&mut payload, self.depth_reached as u64);
+        payload.push(u8::from(self.complete));
+        emit(K_CURSORS, &mut payload)?;
+        Ok(written)
+    }
+
     /// Serialises to the versioned wire format (see the module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-
-        // IDENTITY
-        let mut sec = Vec::new();
-        write_varint(&mut sec, self.protocol.len() as u64);
-        sec.extend_from_slice(self.protocol.as_bytes());
-        write_varint(&mut sec, self.n as u64);
-        write_varint(&mut sec, self.inputs.len() as u64);
-        for &input in &self.inputs {
-            write_varint(&mut sec, input);
-        }
-        write_varint(&mut sec, self.depth as u64);
-        write_varint(&mut sec, self.max_configs as u64);
-        match self.solo_check_budget {
-            None => sec.push(0),
-            Some(budget) => {
-                sec.push(1);
-                write_varint(&mut sec, budget);
-            }
-        }
-        sec.push(u8::from(self.symmetric));
-        push_section(&mut payload, SEC_IDENTITY, &sec);
-
-        // LINKS
-        sec.clear();
-        write_varint(&mut sec, self.links.len() as u64);
-        for &(parent, pid) in &self.links {
-            let encoded = if parent == NO_PARENT {
-                0
-            } else {
-                parent as u64 + 1
-            };
-            write_varint(&mut sec, encoded);
-            write_varint(&mut sec, pid as u64);
-        }
-        push_section(&mut payload, SEC_LINKS, &sec);
-
-        // SEEN
-        sec.clear();
-        write_varint(&mut sec, self.seen.len() as u64);
-        for &fp in &self.seen {
-            sec.extend_from_slice(&fp.to_le_bytes());
-        }
-        push_section(&mut payload, SEC_SEEN, &sec);
-
-        // CURSORS
-        sec.clear();
-        write_varint(&mut sec, self.next_commit as u64);
-        write_varint(&mut sec, self.frontier_peak as u64);
-        write_varint(&mut sec, self.depth_reached as u64);
-        sec.push(u8::from(self.complete));
-        push_section(&mut payload, SEC_CURSORS, &sec);
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(SECTION_TAGS.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.configs() as u64).to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes()); // reserved
-        let header_crc = crc32(&out[..40]);
-        out.extend_from_slice(&header_crc.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode(&mut out).expect("writing to a Vec cannot fail");
         out
     }
 
     /// Decodes and fully validates a snapshot. Total: every failure is a
     /// typed [`SnapshotError`], never a panic or unbounded allocation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let (configs, payload_len) = decode_header(bytes)?;
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() as u64 != payload_len {
-            return Err(malformed(format!(
-                "header claims {payload_len} payload bytes, file carries {}",
-                payload.len()
-            )));
-        }
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+        let configs = read_head(&mut bytes)?;
 
-        let mut cursor = payload;
-        let mut sections: Vec<&[u8]> = Vec::with_capacity(SECTION_TAGS.len());
-        for &want_tag in &SECTION_TAGS {
-            if cursor.len() < SECTION_HEADER_LEN {
-                return Err(SnapshotError::Truncated);
-            }
-            let tag = u32::from_le_bytes(cursor[0..4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(cursor[4..8].try_into().expect("4 bytes"));
-            let len = u64::from_le_bytes(cursor[8..16].try_into().expect("8 bytes"));
-            if tag != want_tag {
-                return Err(malformed(format!(
-                    "expected section {want_tag} ({}), found {tag}",
-                    section_name(want_tag)
-                )));
-            }
-            let len = usize::try_from(len).map_err(|_| malformed("section length overflow"))?;
-            let rest = &cursor[SECTION_HEADER_LEN..];
-            if rest.len() < len {
-                return Err(SnapshotError::Truncated);
-            }
-            let body = &rest[..len];
-            if crc32(body) != crc {
-                return Err(SnapshotError::CrcMismatch {
-                    section: section_name(tag),
-                });
-            }
-            sections.push(body);
-            cursor = &rest[len..];
-        }
-        if !cursor.is_empty() {
-            return Err(malformed(format!(
-                "{} trailing bytes after the last section",
-                cursor.len()
-            )));
-        }
-
-        // IDENTITY
-        let mut sec = sections[0];
-        let name_len = rd_len(&mut sec, 1)?;
-        if sec.len() < name_len {
-            return Err(SnapshotError::Truncated);
-        }
-        let protocol = std::str::from_utf8(&sec[..name_len])
+        let mut r = next_frame(&mut bytes, K_IDENTITY)?;
+        let protocol = std::str::from_utf8(r.bytes()?)
             .map_err(|_| malformed("protocol name is not UTF-8"))?
             .to_string();
-        sec = &sec[name_len..];
-        let n = rd_usize(&mut sec)?;
-        let input_count = rd_len(&mut sec, 1)?;
-        let mut inputs = Vec::with_capacity(input_count.min(sec.len()));
-        for _ in 0..input_count {
-            inputs.push(read_varint(&mut sec)?);
-        }
-        let depth = rd_usize(&mut sec)?;
-        let max_configs = rd_usize(&mut sec)?;
-        let solo_check_budget = match rd_u8(&mut sec)? {
-            0 => None,
-            1 => Some(read_varint(&mut sec)?),
-            tag => return Err(malformed(format!("bad solo-budget tag {tag}"))),
-        };
-        let symmetric = rd_bool(&mut sec)?;
-        if !sec.is_empty() {
-            return Err(malformed("trailing bytes in identity section"));
-        }
+        let n = r.usize()?;
+        let inputs = (0..r.count(1)?)
+            .map(|_| r.varint())
+            .collect::<Result<Vec<_>, _>>()?;
+        let depth = r.usize()?;
+        let max_configs = r.usize()?;
+        let solo_check_budget = if r.bool()? { Some(r.varint()?) } else { None };
+        let symmetric = r.bool()?;
+        r.end()?;
         if inputs.len() != n {
             return Err(malformed(format!("{} inputs for n = {n}", inputs.len())));
         }
 
-        // LINKS
-        let mut sec = sections[1];
-        let link_count = rd_len(&mut sec, 2)?;
-        if link_count + 1 != configs {
-            return Err(malformed(format!(
-                "{link_count} links for {configs} configurations"
-            )));
-        }
-        let mut links = Vec::with_capacity(link_count);
+        let mut links = Vec::new();
         // The engine admits breadth-first, so parents never decrease; resume
         // derives every node's depth from that order.
         let mut prev_raw = 0;
-        for j in 0..link_count {
-            let parent_raw = read_varint(&mut sec)?;
-            let pid = rd_usize(&mut sec)?;
+        read_chunks(&mut bytes, (K_LINKS, 2), configs - 1, &mut links, |r, j| {
+            let (parent_raw, pid) = (r.usize()?, r.usize()?);
             if parent_raw < prev_raw {
-                return Err(malformed(format!("link {j}'s parent precedes link {}'s", j - 1)));
+                return Err(malformed(format!("link {j} breaks breadth-first order")));
             }
             prev_raw = parent_raw;
-            let parent = match parent_raw {
-                0 => NO_PARENT,
-                p => {
-                    let p = usize::try_from(p - 1).map_err(|_| malformed("parent overflow"))?;
-                    if p >= j {
-                        return Err(malformed(format!("link {j} points forward to {p}")));
-                    }
-                    p
-                }
-            };
+            // 0 wraps back to `NO_PARENT`.
+            let parent = parent_raw.wrapping_sub(1);
+            if parent != NO_PARENT && parent >= j {
+                return Err(malformed(format!("link {j} points forward to {parent}")));
+            }
             if pid >= n {
                 return Err(malformed(format!("link {j} steps pid {pid} with n = {n}")));
             }
-            links.push((parent, pid));
-        }
-        if !sec.is_empty() {
-            return Err(malformed("trailing bytes in links section"));
-        }
+            Ok((parent, pid))
+        })?;
 
-        // SEEN
-        let mut sec = sections[2];
-        let seen_count = rd_len(&mut sec, 16)?;
-        if seen_count != configs {
-            return Err(malformed(format!(
-                "{seen_count} seen fingerprints for {configs} configurations"
-            )));
-        }
-        let mut seen = Vec::with_capacity(seen_count);
-        for i in 0..seen_count {
-            if sec.len() < 16 {
-                return Err(SnapshotError::Truncated);
-            }
-            let fp = u128::from_le_bytes(sec[..16].try_into().expect("16 bytes"));
-            sec = &sec[16..];
-            if seen.last().is_some_and(|&prev| prev >= fp) {
+        let mut seen: Vec<u128> = Vec::new();
+        let mut prev_fp = None;
+        read_chunks(&mut bytes, (K_SEEN, 16), configs, &mut seen, |r, i| {
+            let fp = r.fp()?;
+            if prev_fp.is_some_and(|prev| prev >= fp) {
                 return Err(malformed(format!("seen set unsorted at entry {i}")));
             }
-            seen.push(fp);
-        }
-        if !sec.is_empty() {
-            return Err(malformed("trailing bytes in seen section"));
-        }
+            prev_fp = Some(fp);
+            Ok(fp)
+        })?;
 
-        // CURSORS
-        let mut sec = sections[3];
-        let next_commit = rd_usize(&mut sec)?;
-        let frontier_peak = rd_usize(&mut sec)?;
-        let depth_reached = rd_usize(&mut sec)?;
-        let complete = rd_bool(&mut sec)?;
-        if !sec.is_empty() {
-            return Err(malformed("trailing bytes in cursors section"));
+        let mut r = next_frame(&mut bytes, K_CURSORS)?;
+        let next_commit = r.usize()?;
+        let frontier_peak = r.usize()?;
+        let depth_reached = r.usize()?;
+        let complete = r.bool()?;
+        r.end()?;
+        if !bytes.is_empty() {
+            return Err(malformed(format!(
+                "{} trailing bytes after the cursors",
+                bytes.len()
+            )));
         }
         if next_commit > configs {
             return Err(malformed(format!(
@@ -482,24 +436,27 @@ impl Snapshot {
         })
     }
 
-    /// Writes the snapshot to `path` **atomically**: encoded into a temp
-    /// file beside it, fsynced, then renamed over the target (whose previous
-    /// contents survive any crash before the rename commits). Returns the
-    /// bytes written.
+    /// Writes the snapshot to `path` **atomically**: its frames stream
+    /// through a buffered temp file beside it (the whole file is never
+    /// built in memory), which is fsynced, then renamed over the target
+    /// (whose previous contents survive any crash before the rename
+    /// commits). Returns the bytes written.
     ///
     /// # Errors
     ///
     /// Typed [`SnapshotError::Io`] on any filesystem failure.
     pub fn write(&self, path: &Path) -> Result<u64, SnapshotError> {
-        let bytes = self.to_bytes();
         let tmp = path.with_file_name(format!(
             "{}.tmp",
             path.file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "snapshot".to_string())
         ));
-        let mut file = fs::File::create(&tmp).map_err(io_err("create"))?;
-        file.write_all(&bytes).map_err(io_err("write"))?;
+        let mut out = std::io::BufWriter::new(fs::File::create(&tmp).map_err(io_err("create"))?);
+        let written = self.encode(&mut out).map_err(io_err("write"))?;
+        let file = out
+            .into_inner()
+            .map_err(|e| io_err("write")(e.into_error()))?;
         file.sync_all().map_err(io_err("sync"))?;
         drop(file);
         fs::rename(&tmp, path).map_err(io_err("rename"))?;
@@ -510,7 +467,7 @@ impl Snapshot {
                 let _ = dir.sync_all();
             }
         }
-        Ok(bytes.len() as u64)
+        Ok(written)
     }
 
     /// Reads and fully validates a snapshot from `path`.
@@ -527,28 +484,23 @@ impl Snapshot {
         Snapshot::from_bytes(&bytes)
     }
 
-    /// Reads only the admitted-configuration count from a snapshot's header
-    /// (48 bytes, CRC-validated) — the cheap progress probe the kill-and-
-    /// resume smoke polls while deciding when to kill the child run.
+    /// Reads only the admitted-configuration count from a snapshot's HEAD
+    /// frame (CRC-validated) — the cheap progress probe the kill-and-resume
+    /// smoke polls while deciding when to kill the child run.
     ///
     /// # Errors
     ///
-    /// As [`Snapshot::read`], for the header alone.
+    /// As [`Snapshot::read`], for the HEAD frame alone.
     pub fn peek_configs(path: &Path) -> Result<u64, SnapshotError> {
         use std::io::Read;
-        let mut header = [0u8; HEADER_LEN];
-        let mut file = fs::File::open(path).map_err(io_err("open"))?;
-        file.read_exact(&mut header).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated
-            } else {
-                SnapshotError::Io {
-                    op: "read",
-                    kind: e.kind(),
-                }
-            }
-        })?;
-        decode_header(&header).map(|(configs, _)| configs as u64)
+        // The longest HEAD frame: a version byte and a 10-byte varint.
+        let mut head = Vec::new();
+        fs::File::open(path)
+            .map_err(io_err("open"))?
+            .take(frame_len(11) as u64)
+            .read_to_end(&mut head)
+            .map_err(io_err("read"))?;
+        read_head(&mut head.as_slice()).map(|configs| configs as u64)
     }
 
     /// Verifies that this snapshot belongs to exactly the exploration that
@@ -603,76 +555,10 @@ impl Snapshot {
     }
 }
 
-/// Appends one section (header + payload) to `out`.
-fn push_section(out: &mut Vec<u8>, tag: u32, body: &[u8]) {
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(body);
-}
-
-/// Validates the 48-byte header; returns `(configs, payload_len)`.
-fn decode_header(bytes: &[u8]) -> Result<(usize, u64), SnapshotError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
-    let stored_crc = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes"));
-    if crc32(&bytes[..40]) != stored_crc {
-        return Err(SnapshotError::CrcMismatch { section: "header" });
-    }
-    let section_count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    if section_count as usize != SECTION_TAGS.len() {
-        return Err(malformed(format!("{section_count} sections")));
-    }
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let configs = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let configs = usize::try_from(configs).map_err(|_| malformed("config count overflow"))?;
-    if configs == 0 {
-        return Err(malformed("zero configurations"));
-    }
-    Ok((configs, payload_len))
-}
-
-/// Varint → usize with a typed error on 32-bit overflow.
-fn rd_usize(bytes: &mut &[u8]) -> Result<usize, SnapshotError> {
-    usize::try_from(read_varint(bytes)?).map_err(|_| malformed("value overflows usize"))
-}
-
-/// Reads an element count and bounds it against the bytes actually present
-/// (each element costs at least `min_elem_bytes`), so a corrupt count can
-/// never drive an oversized allocation.
-fn rd_len(bytes: &mut &[u8], min_elem_bytes: usize) -> Result<usize, SnapshotError> {
-    let count = rd_usize(bytes)?;
-    if count.saturating_mul(min_elem_bytes) > bytes.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    Ok(count)
-}
-
-fn rd_u8(bytes: &mut &[u8]) -> Result<u8, SnapshotError> {
-    let (&first, rest) = bytes.split_first().ok_or(SnapshotError::Truncated)?;
-    *bytes = rest;
-    Ok(first)
-}
-
-fn rd_bool(bytes: &mut &[u8]) -> Result<bool, SnapshotError> {
-    match rd_u8(bytes)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(malformed(format!("bad bool byte {other}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbh_model::packed::frame::FRAME_HEADER_LEN;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -706,25 +592,31 @@ mod tests {
 
     #[test]
     fn header_level_corruption_is_typed() {
-        let snap = sample();
-        let good = snap.to_bytes();
-        assert_eq!(Snapshot::from_bytes(&[]), Err(SnapshotError::Truncated));
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        assert_eq!(Snapshot::from_bytes(&bad), Err(SnapshotError::BadMagic));
-        let mut bad = good.clone();
-        bad[8] = 99;
+        let good = sample().to_bytes();
+        // Names the frame failure as "section: variant".
+        let failure = |bad: Vec<u8>| match Snapshot::from_bytes(&bad) {
+            Err(SnapshotError::Frame { section, err }) => format!("{section}: {err:?}"),
+            other => panic!("{other:?}"),
+        };
+        let flip = |at: usize| {
+            let mut bad = good.clone();
+            bad[at] ^= 0x10;
+            bad
+        };
+        assert_eq!(failure(Vec::new()), "head: Truncated");
+        assert!(failure(flip(0)).starts_with("head: BadMagic"));
+        // The first payload byte is HEAD's version.
+        assert!(failure(flip(FRAME_HEADER_LEN)).starts_with("head: CrcMismatch"));
+        assert!(failure(flip(good.len() - 1)).starts_with("cursors: CrcMismatch"));
+        // An honestly framed HEAD of another version, with its 5 configs.
+        let mut bad = Vec::new();
+        encode_frame(K_HEAD, &[99, 5], &mut bad);
+        bad.extend_from_slice(&good[frame_len(2)..]);
         assert_eq!(
             Snapshot::from_bytes(&bad),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         );
-        let mut bad = good.clone();
-        bad[25] ^= 0x10; // configs field: caught by the header CRC
-        assert_eq!(
-            Snapshot::from_bytes(&bad),
-            Err(SnapshotError::CrcMismatch { section: "header" })
-        );
-        // Truncation anywhere in the payload is typed, never a panic.
+        // Truncation anywhere is typed, never a panic.
         for len in 0..good.len() {
             assert!(Snapshot::from_bytes(&good[..len]).is_err(), "prefix {len}");
         }

@@ -6,10 +6,11 @@
 //! flips, truncations, outright garbage — always come back as a typed
 //! [`SnapshotError`], never a panic, a bogus decode or an oversized
 //! allocation. Stronger than the delta codec's corruption bar, in fact:
-//! every byte of a snapshot except the four trailing reserved header bytes
-//! is CRC-covered, so a flip either leaves the decode equal to the original
-//! or fails typed — it can never smuggle in a *different* snapshot.
+//! a snapshot is a stream of CRC-guarded frames, so every byte is under the
+//! frame magic check or a CRC, and a flip always fails typed — it can never
+//! smuggle in a *different* snapshot.
 
+use cbh_model::decode_frame_exact;
 use cbh_verify::snapshot::{Snapshot, SnapshotError, NO_PARENT};
 use proptest::prelude::*;
 
@@ -118,18 +119,9 @@ proptest! {
             let mut corrupt = good.clone();
             let at = pos as usize % corrupt.len();
             corrupt[at] ^= mask;
-            // `mask` is nonzero, so the bytes genuinely differ. CRC coverage
-            // means the decode must fail typed — unless the flip landed in
-            // the trailing reserved header bytes (44..48), the only four
-            // bytes outside every checksum, where the decode must still
-            // equal the original.
-            match Snapshot::from_bytes(&corrupt) {
-                Err(_) => {}
-                Ok(decoded) => {
-                    prop_assert!((44..48).contains(&at), "undetected flip at {}", at);
-                    prop_assert_eq!(&decoded, &snap);
-                }
-            }
+            // `mask` is nonzero, so the bytes genuinely differ, and every
+            // byte is under the magic check or a CRC: the decode must fail.
+            prop_assert!(Snapshot::from_bytes(&corrupt).is_err(), "undetected flip at {}", at);
         }
     }
 
@@ -172,12 +164,53 @@ proptest! {
         links_raw in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..12),
         garbage in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        // Hostile payload bytes behind a header that passes its CRC: the
-        // section walk and every count/bounds check must stay total.
+        // Hostile bytes behind a HEAD frame that passes its CRC: the frame
+        // walk and every count/bounds check must stay total.
         let snap = build_snapshot(1, 2, 4, 1_000, None, false, &links_raw, 5, (0, 0, 0, true));
         let mut bytes = snap.to_bytes();
-        bytes.truncate(48);
+        let (_, _, head_len) = decode_frame_exact(&bytes).expect("an honest HEAD frame");
+        bytes.truncate(head_len);
         bytes.extend_from_slice(&garbage);
         let _ = Snapshot::from_bytes(&bytes);
     }
+}
+
+#[test]
+fn snapshots_past_one_chunk_roundtrip() {
+    // 65,537 configurations: the SEEN fingerprints outgrow one 65,536-entry
+    // frame, so the stream holds more than the five single-chunk frames.
+    let links_raw: Vec<(u64, u64)> = (0..65_536).map(|i| (mix(i), i)).collect();
+    let snap = build_snapshot(
+        9,
+        3,
+        40,
+        100_000,
+        None,
+        false,
+        &links_raw,
+        11,
+        (5, 6, 7, false),
+    );
+    let bytes = snap.to_bytes();
+    let mut frames = 0;
+    let mut rest = bytes.as_slice();
+    while !rest.is_empty() {
+        rest = &rest[decode_frame_exact(rest).expect("an honest frame").2..];
+        frames += 1;
+    }
+    assert!(frames > 5, "{frames} frames");
+    assert_eq!(Snapshot::from_bytes(&bytes), Ok(snap));
+}
+
+#[test]
+fn version_1_snapshots_are_refused_typed() {
+    // A version-1 file opens with a 48-byte header: magic "CBHSNAP1", then
+    // the version as a little-endian u32.
+    let mut v1 = b"CBHSNAP1".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.resize(48, 0);
+    assert_eq!(
+        Snapshot::from_bytes(&v1),
+        Err(SnapshotError::UnsupportedVersion { found: 1 })
+    );
 }
